@@ -11,7 +11,10 @@ import "testing"
 // agree. Do NOT update the constants to make the test pass unless the
 // release notes declare a deliberate stream break; the graph mode
 // constants were last regenerated when its rounds moved to the
-// sharded per-(seed, round, shard) streams.
+// sharded per-(seed, round, shard) streams. The async-agent-modes,
+// async-padded and sync-sampled-agreement rows pin the Fenwick descent
+// behind async ticks and the flat 2-Choices sampled-agreement loop
+// (k = 8, a k padded up to a power of two, and a run that compacts).
 func TestTrialSeedContractPinned(t *testing.T) {
 	type pinned struct {
 		rounds    float64
@@ -40,6 +43,33 @@ func TestTrialSeedContractPinned(t *testing.T) {
 				{float64(6852) / 300, true, 2, 6852},
 				{float64(4211) / 300, true, 2, 4211},
 				{float64(5509) / 300, true, 0, 5509},
+			},
+		},
+		{
+			name: "async-agent-modes",
+			req:  Request{Protocol: "3-majority", N: 20000, K: 8, Seed: 42, Trials: 3, Mode: ModeAsync},
+			want: []pinned{
+				{float64(726783) / 20000, true, 3, 726783},
+				{float64(744929) / 20000, true, 4, 744929},
+				{float64(614162) / 20000, true, 2, 614162},
+			},
+		},
+		{
+			name: "async-padded",
+			req:  Request{Protocol: "2-choices", N: 500, K: 5, Seed: 42, Trials: 3, Mode: ModeAsync},
+			want: []pinned{
+				{float64(9676) / 500, true, 3, 9676},
+				{float64(7877) / 500, true, 4, 7877},
+				{float64(9320) / 500, true, 3, 9320},
+			},
+		},
+		{
+			name: "sync-sampled-agreement",
+			req:  Request{Protocol: "2-choices", N: 20000, K: 2000, Seed: 42, Trials: 3},
+			want: []pinned{
+				{1448, true, 1473, -1},
+				{1335, true, 1094, -1},
+				{1537, true, 313, -1},
 			},
 		},
 		{
