@@ -9,7 +9,12 @@
 //
 // On the complete graph with self-loops the asynchronous process is a
 // function of the count vector alone; package async evolves the counts
-// through a Fenwick tree, so one tick costs O(log k).
+// through a population.Fenwick, so one tick costs O(log k). Each
+// neighbor (and the updating vertex's own class) is one Sample: an
+// Int63n draw, then a branch-free descent of the tree, padded to a
+// power of two so the descent starts from a fixed top bit. The
+// padding slots hold zero counts and are never returned, so a draw
+// picks the same opinion an unpadded descent would.
 //
 // The contract above is owned by DESIGN.md §"The unified Experiment
 // API".

@@ -108,7 +108,7 @@ type flatState struct {
 	numLive int
 	hist    [maxGroupedCount + 1]int32 // hist[c] = live slots with count c <= maxGroupedCount
 	rest    []int32                    // slots with count > maxGroupedCount, ascending
-	fen     []int64                    // persistent Fenwick tree over the slots (1-based)
+	fen     population.Fenwick         // persistent Fenwick tree over the slot counts
 	fenOK   bool
 
 	// Round buffers. out and agree are all-zero between rounds (the
@@ -272,31 +272,14 @@ func (f *flatState) stepTwoChoices(r *rng.Rand, s *Scratch) {
 		return
 	}
 	f.ensureFen()
-	tree := f.fen
-	remaining := f.n
 	touched := f.touched[:0]
 	for t := int64(0); t < total; t++ {
-		target := r.Int63n(remaining)
-		idx := 0
-		bit := 1
-		for bit<<1 <= len(tree)-1 {
-			bit <<= 1
-		}
-		for ; bit > 0; bit >>= 1 {
-			next := idx + bit
-			if next < len(tree) && tree[next] <= target {
-				target -= tree[next]
-				idx = next
-			}
-		}
+		idx := f.fen.Sample(r) // Int63n(n - t): the tree total shrinks by one per pick
 		if f.agree[idx] == 0 {
 			touched = append(touched, int32(idx))
 		}
 		f.agree[idx]++
-		for at := idx + 1; at < len(tree); at += at & -at {
-			tree[at]--
-		}
-		remaining--
+		f.fen.Add(idx, -1)
 	}
 	f.touched = touched
 	if f.sampleGrouped(r, s, total, pSq, true) {
@@ -592,9 +575,7 @@ func (f *flatState) commitSparse() {
 		f.agree[sl] = 0
 		f.out[sl] = 0
 		if d != 0 {
-			for at := int(sl) + 1; at < len(f.fen); at += at & -at {
-				f.fen[at] += d
-			}
+			f.fen.Add(int(sl), d)
 		}
 		if newC == c {
 			continue
@@ -653,22 +634,10 @@ func (f *flatState) restRemove(sl int32) {
 // counts. The tree is the unique Fenwick representation of the weight
 // vector, so a rebuild and a run of incremental patches agree exactly.
 func (f *flatState) ensureFen() {
-	n1 := len(f.cnt) + 1
-	if f.fenOK && len(f.fen) == n1 {
+	if f.fenOK {
 		return
 	}
-	if cap(f.fen) < n1 {
-		f.fen = make([]int64, n1)
-	}
-	fen := f.fen[:n1]
-	fen[0] = 0
-	copy(fen[1:], f.cnt)
-	for idx := 1; idx < n1; idx++ {
-		if parent := idx + (idx & -idx); parent < n1 {
-			fen[parent] += fen[idx]
-		}
-	}
-	f.fen = fen
+	f.fen.Reset(f.cnt)
 	f.fenOK = true
 }
 

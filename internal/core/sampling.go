@@ -210,7 +210,10 @@ func sampleBinomialEach(r *rng.Rand, s *Scratch, v *population.Vector, p float64
 	remaining := v.N()
 	for t := int64(0); t < total; t++ {
 		target := r.Int63n(remaining)
-		// Descend the implicit prefix-sum tree.
+		// Descend the implicit prefix-sum tree. This is deliberately
+		// not population.Fenwick's descent: the flat kernel, which
+		// samples through that type, is proven against this serial
+		// path, so the oracle keeps code of its own.
 		idx := 0
 		bit := 1
 		for bit<<1 <= len(tree)-1 {

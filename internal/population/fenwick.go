@@ -13,9 +13,23 @@ import (
 // The asynchronous schedulers in internal/async use it to run one
 // single-vertex update per tick without rebuilding any distribution
 // table: pick the updating vertex's class, pick the sampled neighbors'
-// classes, then apply the ±1 count deltas.
+// classes, then apply the ±1 count deltas. The flat batch kernel in
+// internal/core uses it for 2-Choices' sampled-agreement rounds, as
+// weighted sampling without replacement (Sample, then Add(i, -1)).
+//
+// The tree is padded to P+1 entries, where P is the least power of two
+// not below k, so Sample's descent has a top bit fixed at build time
+// and visits exactly log₂P levels without a bounds or direction
+// branch. The padding slots k+1..P hold zero counts; updates walk
+// through them like any other slot, so every node still stores its
+// exact range sum. A padding slot is never returned: the descent
+// returns the largest idx with prefix(idx) ≤ target, and prefix(j) =
+// total > target for every j ≥ k. Hence each draw maps to the same
+// index an unpadded, branching descent would return, and the streams
+// are unchanged. The same argument skips the root: node P holds the
+// total, is never taken, and the descent starts from P/2.
 type Fenwick struct {
-	tree  []int64 // 1-based prefix-sum tree
+	tree  []int64 // 1-based prefix-sum tree over the padded slots, len P+1
 	count []int64 // plain counts, for O(1) reads
 	total int64
 }
@@ -23,26 +37,43 @@ type Fenwick struct {
 // NewFenwick builds a tree over a copy of counts. Counts must be
 // non-negative with a positive total.
 func NewFenwick(counts []int64) *Fenwick {
-	f := &Fenwick{
-		tree:  make([]int64, len(counts)+1),
-		count: append([]int64(nil), counts...),
+	f := new(Fenwick)
+	f.Reset(counts)
+	return f
+}
+
+// Reset rebuilds f over a copy of counts, reusing its buffers; the
+// result is the same tree NewFenwick(counts) builds. Counts must be
+// non-negative with a positive total.
+func (f *Fenwick) Reset(counts []int64) {
+	pad := 1
+	for pad < len(counts) {
+		pad <<= 1
 	}
+	if cap(f.tree) < pad+1 {
+		f.tree = make([]int64, pad+1)
+	}
+	tree := f.tree[:pad+1]
+	tree[0] = 0
+	copy(tree[1:], counts)
+	clear(tree[len(counts)+1:])
+	var total int64
 	for i, c := range counts {
 		if c < 0 {
-			panic(fmt.Sprintf("population: NewFenwick negative count %d at %d", c, i))
+			panic(fmt.Sprintf("population: Fenwick over negative count %d at %d", c, i))
 		}
-		f.total += c
-		// Standard O(k) construction: push each value to its parent.
-		idx := i + 1
-		f.tree[idx] += c
-		if parent := idx + (idx & -idx); parent < len(f.tree) {
-			f.tree[parent] += f.tree[idx]
-		}
+		total += c
 	}
-	if f.total <= 0 {
-		panic("population: NewFenwick with zero total")
+	if total <= 0 {
+		panic("population: Fenwick with zero total")
 	}
-	return f
+	// Standard O(P) construction: push each node's sum to its parent.
+	for idx := 1; idx < pad; idx++ {
+		tree[idx+(idx&-idx)] += tree[idx]
+	}
+	f.count = append(f.count[:0], counts...)
+	f.total = total
+	f.tree = tree
 }
 
 // K returns the number of opinion slots.
@@ -76,24 +107,26 @@ func (f *Fenwick) Move(from, to int) {
 	f.Add(to, 1)
 }
 
-// Sample returns opinion i with probability Count(i)/Total(), by
-// descending the implicit prefix-sum tree in O(log k).
+// Sample returns opinion i with probability Count(i)/Total(): one
+// Int63n draw, then the descent of search.
 func (f *Fenwick) Sample(r *rng.Rand) int {
-	target := r.Int63n(f.total) // uniform in [0, total)
+	return f.search(r.Int63n(f.total))
+}
+
+// search returns the 0-based opinion whose prefix range contains
+// target, for target in [0, total): a branch-free descent of the padded
+// tree from bit P/2, where each level takes the node when its sum does
+// not exceed the remaining target — as a mask, not a branch.
+func (f *Fenwick) search(target int64) int {
+	tree := f.tree
 	idx := 0
-	// Highest power of two not exceeding len(tree)-1.
-	bit := 1
-	for bit<<1 <= len(f.tree)-1 {
-		bit <<= 1
+	for bit := (len(tree) - 1) >> 1; bit > 0; bit >>= 1 {
+		v := tree[idx+bit]
+		take := ^((target - v) >> 63) // all ones iff v <= target
+		target -= v & take
+		idx += bit & int(take)
 	}
-	for ; bit > 0; bit >>= 1 {
-		next := idx + bit
-		if next < len(f.tree) && f.tree[next] <= target {
-			target -= f.tree[next]
-			idx = next
-		}
-	}
-	return idx // idx is the 0-based opinion whose prefix contains target
+	return idx
 }
 
 // Counts returns a copy of the current counts.
