@@ -279,7 +279,7 @@ func run(ctx context.Context, args []string) error {
 	log.Printf("conserve: listening on %s (workers=%d parallelism=%d queue=%d cache=%d)",
 		ln.Addr(), runner.Metrics().Workers, runner.Metrics().Parallelism, *queue, *cache)
 
-	srv := &http.Server{Handler: service.NewServerWith(runner, extra)}
+	srv := newHTTPServer(service.NewServerWith(runner, extra))
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 	select {
@@ -299,5 +299,27 @@ func run(ctx context.Context, args []string) error {
 			log.Printf("conserve: drain incomplete: %v (checkpoints are journaled; restart resumes)", err)
 		}
 		return srv.Shutdown(drainCtx)
+	}
+}
+
+// Connection timeouts that bound what a slow or idle client can hold
+// open. There is deliberately no ReadTimeout or WriteTimeout: a
+// long-running /run or a streamed NDJSON /sweep legitimately keeps its
+// connection busy for as long as the simulation takes.
+const (
+	// readHeaderTimeout bounds how long a client may take to send the
+	// request headers (the slowloris hold).
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes keep-alive connections idle between requests.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer is conserve's http.Server for handler, with the
+// connection timeouts above.
+func newHTTPServer(handler http.Handler) *http.Server {
+	return &http.Server{
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }

@@ -389,3 +389,20 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		t.Fatal("unlistenable address accepted")
 	}
 }
+
+// TestHTTPServerTimeouts: the server conserve builds bounds slow
+// header senders and idle keep-alive connections, and leaves whole
+// request and response durations unbounded so long NDJSON sweeps are
+// never cut.
+func TestHTTPServerTimeouts(t *testing.T) {
+	srv := newHTTPServer(http.NotFoundHandler())
+	if srv.ReadHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want > 0", srv.ReadHeaderTimeout)
+	}
+	if srv.IdleTimeout <= 0 {
+		t.Fatalf("IdleTimeout = %v, want > 0", srv.IdleTimeout)
+	}
+	if srv.ReadTimeout != 0 || srv.WriteTimeout != 0 {
+		t.Fatalf("ReadTimeout = %v, WriteTimeout = %v, want both unset", srv.ReadTimeout, srv.WriteTimeout)
+	}
+}

@@ -139,7 +139,7 @@ type Experiment struct {
 	// TrialResult carries its own points. Tracing never touches the
 	// RNG streams: traced results are byte-identical to untraced.
 	Trace *trace.Spec
-	// noBatch forces the classic build-per-trial sync executor even
+	// noBatch forces the build-per-trial sync path (runFacade) even
 	// where the batch executor would engage. Unexported: it exists for
 	// the batch≡serial equivalence tests, which run both executors on
 	// the same Experiment and require identical bytes.
@@ -601,51 +601,7 @@ func (c *compiled) stream(ctx context.Context, yield func(int, TrialResult) bool
 		outs[i] = make(chan trialOutcome, 1)
 	}
 	var cancelled atomic.Bool
-	if c.batchable() {
-		go c.streamBatch(ctx, trialWorkers, samplers, outs, &cancelled)
-	} else {
-		go func() {
-			// The scheduler's own lowest-index error reporting is unused:
-			// the consumer below sees errors in index order already.
-			_ = sim.ForEachTrialCtx(ctx, trials-first, trialWorkers, func(idx int) error {
-				i := first + idx
-				if cancelled.Load() {
-					outs[i] <- trialOutcome{err: errTrialCancelled}
-					return nil
-				}
-				var tr *trace.Sampler
-				if samplers != nil {
-					tr = samplers[i]
-				}
-				var onRound func(round int, s Snapshot) bool
-				if c.e.OnRound != nil {
-					hook := c.e.OnRound
-					onRound = func(round int, s Snapshot) bool { return hook(i, round, s) }
-				}
-				res, err := func() (res TrialResult, err error) {
-					// Contain trial panics here, where the per-trial result
-					// slot can still be delivered; the scheduler's own
-					// recovery cannot reach outs[i].
-					defer func() {
-						if p := recover(); p != nil {
-							err = fmt.Errorf("plurality: trial %d panicked: %v", i, p)
-						}
-					}()
-					return c.runFacade(rng.DeriveSeed(c.e.Seed, uint64(i)), tr, onRound, graphWorkers)
-				}()
-				if err != nil {
-					outs[i] <- trialOutcome{err: err}
-					return err
-				}
-				res.Trial = i
-				if tr != nil {
-					res.Trace = tr.Points()
-				}
-				outs[i] <- trialOutcome{res: res}
-				return nil
-			})
-		}()
-	}
+	go c.produce(ctx, trialWorkers, graphWorkers, samplers, outs, &cancelled)
 	var done <-chan struct{}
 	if ctx != nil {
 		done = ctx.Done()
@@ -708,23 +664,33 @@ func (c *compiled) batchable() bool {
 		c.e.NumTrials-c.e.FirstTrial > 1
 }
 
-// streamBatch is stream's producer for the batch executor: workers
-// claim contiguous trial ranges (sim.ForEachTrialRangeCtx) and run
-// each range through one BatchRunner, so the template clone, sampler
-// arenas and flat-kernel state are built once per range instead of
-// once per trial. Each trial still consumes rng.DeriveSeed(Seed, i)
-// in the serial order, so the delivered bytes are identical to the
-// classic executor for every Parallelism and width.
-func (c *compiled) streamBatch(ctx context.Context, trialWorkers int, samplers []*trace.Sampler, outs []chan trialOutcome, cancelled *atomic.Bool) {
-	trials := c.e.NumTrials
+// produce is stream's producer: workers claim contiguous trial ranges
+// (sim.ForEachTrialRangeCtx) and send each trial's outcome to its
+// slot. A batchable experiment runs each range through one
+// BatchRunner, so the template clone, sampler arenas and flat-kernel
+// state are built once per range instead of once per trial; every
+// other experiment claims width-1 ranges and runs each trial through
+// runFacade. Each trial still consumes rng.DeriveSeed(Seed, i) in the
+// serial order, so the delivered bytes are identical for every
+// Parallelism and width.
+func (c *compiled) produce(ctx context.Context, trialWorkers, graphWorkers int, samplers []*trace.Sampler, outs []chan trialOutcome, cancelled *atomic.Bool) {
 	first := c.e.FirstTrial
-	span := trials - first
-	width := (span + trialWorkers - 1) / trialWorkers
-	if width > batchMaxWidth {
-		width = batchMaxWidth
+	span := c.e.NumTrials - first
+	batch := c.batchable()
+	width := 1
+	if batch {
+		width = (span + trialWorkers - 1) / trialWorkers
+		if width > batchMaxWidth {
+			width = batchMaxWidth
+		}
 	}
+	// The scheduler's own lowest-range error reporting is unused: the
+	// consumer sees errors in index order already.
 	_ = sim.ForEachTrialRangeCtx(ctx, span, trialWorkers, width, func(lo, hi int) error {
-		runner := core.NewBatchRunner(c.proto, c.template)
+		var runner *core.BatchRunner
+		if batch {
+			runner = core.NewBatchRunner(c.proto, c.template)
+		}
 		for idx := lo; idx < hi; idx++ {
 			i := first + idx
 			if cancelled.Load() {
@@ -736,18 +702,30 @@ func (c *compiled) streamBatch(ctx context.Context, trialWorkers int, samplers [
 				tr = samplers[i]
 			}
 			res, err := func() (res TrialResult, err error) {
+				// Contain trial panics here, where the per-trial result
+				// slot can still be delivered; the scheduler's own
+				// recovery cannot reach outs[i].
 				defer func() {
 					if p := recover(); p != nil {
 						err = fmt.Errorf("plurality: trial %d panicked: %v", i, p)
 					}
 				}()
-				return c.runBatchTrial(runner, i, tr), nil
+				if runner != nil {
+					return c.runBatchTrial(runner, i, tr), nil
+				}
+				var onRound func(round int, s Snapshot) bool
+				if hook := c.e.OnRound; hook != nil {
+					onRound = func(round int, s Snapshot) bool { return hook(i, round, s) }
+				}
+				return c.runFacade(rng.DeriveSeed(c.e.Seed, uint64(i)), tr, onRound, graphWorkers)
 			}()
 			if err != nil {
 				outs[i] <- trialOutcome{err: err}
-				// The panic may have left the shared runner state
-				// mid-round; later trials in the range get a fresh one.
-				runner = core.NewBatchRunner(c.proto, c.template)
+				if runner != nil {
+					// The panic may have left the shared runner state
+					// mid-round; later trials in the range get a fresh one.
+					runner = core.NewBatchRunner(c.proto, c.template)
+				}
 				continue
 			}
 			res.Trial = i
@@ -855,7 +833,7 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, onRound func(
 			return TrialResult{}, err
 		}
 		r := rng.New(rng.DeriveSeed(facadeSeed, 0))
-		res := async.RunHooked(r, c.dyn, v, c.e.MaxTicks, tr, stopFn)
+		res := async.Run(r, c.dyn, v, c.e.MaxTicks, tr, stopFn)
 		return TrialResult{
 			Mode:      ModeAsync,
 			Rounds:    res.Rounds,
@@ -884,7 +862,7 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, onRound func(
 		if maxRounds <= 0 {
 			maxRounds = 100_000
 		}
-		res := graph.RunShardedHooked(rng.DeriveSeed(facadeSeed, 1), st, c.rule, maxRounds, graphWorkers, tr, stopFn)
+		res := graph.Run(rng.DeriveSeed(facadeSeed, 1), st, c.rule, maxRounds, graphWorkers, tr, stopFn)
 		return TrialResult{
 			Mode:      ModeGraph,
 			Rounds:    float64(res.Rounds),
@@ -915,7 +893,7 @@ func (c *compiled) runFacade(facadeSeed uint64, tr *trace.Sampler, onRound func(
 		if maxRounds <= 0 {
 			maxRounds = 100_000
 		}
-		res := nw.RunHooked(maxRounds, tr, stopFn)
+		res := nw.Run(maxRounds, tr, stopFn)
 		final := nw.Counts()
 		counts := make([]int64, final.K())
 		for i := range counts {

@@ -55,7 +55,7 @@ type BatchRunConfig struct {
 //
 // A BatchRunner is not safe for concurrent use: parallel executors
 // create one runner per worker and hand each worker a contiguous trial
-// range (sim.ForEachTrialRangeCtx).
+// range on the single trial scheduler (sim.ForEachTrialRangeCtx).
 type BatchRunner struct {
 	proto    Protocol
 	template *population.Vector

@@ -39,7 +39,7 @@ func runAsync(opts Options) []tablefmt.Table {
 		asyncRounds := make([]float64, 0, trials)
 		for trial := 0; trial < trials; trial++ {
 			r := rng.New(rng.DeriveSeed(opts.Seed*601+uint64(ki), uint64(trial)))
-			res := async.Run(r, async.ThreeMajority, population.Balanced(n, k), 1_000_000_000)
+			res := async.Run(r, async.ThreeMajority, population.Balanced(n, k), 1_000_000_000, nil, nil)
 			if !res.Consensus {
 				panic("experiments: async run did not converge")
 			}
@@ -193,7 +193,7 @@ func runGraphs(opts Options) []tablefmt.Table {
 			if err != nil {
 				panic(err)
 			}
-			res := graph.Run(r, st, graph.ThreeMajorityRule{}, maxRounds)
+			res := graph.Run(r.Uint64(), st, graph.ThreeMajorityRule{}, maxRounds, opts.Parallelism, nil, nil)
 			if res.Consensus {
 				converged++
 				times = append(times, float64(res.Rounds))

@@ -41,7 +41,7 @@ func runGossip(opts Options) []tablefmt.Table {
 			if err != nil {
 				panic(err)
 			}
-			res := nw.Run(maxRounds)
+			res := nw.Run(maxRounds, nil, nil)
 			nw.Close()
 			if res.Consensus {
 				converged++

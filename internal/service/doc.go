@@ -20,11 +20,11 @@
 //     plurality.Experiment (Request.Experiment), the unified execution
 //     path for all four modes: trial i of any request gets the façade
 //     seed rng.DeriveSeed(Seed, i) (which the non-sync engines expand
-//     once more), and trials fan across workers via sim.ForEachTrial —
-//     with mode graph also sharding each run's vertex loop — so
-//     results are reproducible and independent of the parallelism
-//     budget; see DESIGN.md §Simulation service for the full
-//     determinism contract.
+//     once more), and trials fan across workers via the single trial
+//     scheduler sim.ForEachTrialRangeCtx — with mode graph also
+//     sharding each run's vertex loop — so results are reproducible
+//     and independent of the parallelism budget; see DESIGN.md
+//     §Simulation service for the full determinism contract.
 //   - Runner: a bounded worker pool with an LRU result cache keyed by
 //     Request.Key, in-flight deduplication, a job store for detached
 //     submissions, and backpressure (ErrBusy when the queue is full,

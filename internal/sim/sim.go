@@ -42,177 +42,27 @@ type TrialResult struct {
 	core.RunResult
 }
 
-// ForEachTrial is the deterministic trial scheduler shared by every
-// execution mode (the count-space engine here, and the service layer's
-// async/graph/gossip executors): it runs body(trial) for trial =
-// 0..trials-1 across a pool of parallelism workers (<= 0 means
-// GOMAXPROCS). Work is handed out by trial index and bodies must
-// derive all randomness from that index (e.g. via rng.DeriveSeed), so
-// the outcome of every trial — and anything the bodies write into
-// per-trial slots — is identical for any worker count.
+// ForEachTrialRangeCtx is the deterministic trial scheduler shared by
+// every execution mode (the count-space engine here, the façade's
+// stream producer and through it the service layer's executors):
+// across a pool of parallelism workers (<= 0 means GOMAXPROCS), each
+// worker claims a contiguous range [lo, hi) of up to width trials at a
+// time (width < 1 means 1) and runs body(lo, hi) once per claim. Index
+// scheduling is the width-1 case. Bodies must derive all randomness
+// from the absolute trial indices (e.g. rng.DeriveSeed per index), so
+// every trial's outcome — and anything the bodies write into per-trial
+// slots — is identical for any worker count and any width.
 //
-// All trials run even when some fail; the returned error is that of
-// the lowest failing trial index, so error reporting is deterministic
-// too. (Per-trial errors are config errors, surfaced long before any
-// simulation work, so running the batch to completion costs nothing in
-// practice.)
-func ForEachTrial(trials, parallelism int, body func(trial int) error) error {
-	if trials <= 0 {
-		return nil
-	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	var firstErr error
-	if workers == 1 {
-		// Serial fast path: no goroutines, but the same
-		// run-to-completion, lowest-index-error semantics.
-		for trial := 0; trial < trials; trial++ {
-			if err := body(trial); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		return firstErr
-	}
-	errs := make([]error, trials)
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				trial := int(atomic.AddInt64(&next, 1))
-				if trial >= trials {
-					return
-				}
-				errs[trial] = body(trial)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForEachTrialCtx is ForEachTrial with cooperative cancellation and
-// per-trial panic containment — the scheduler variant the durable
-// service layer drives: cancelling the context stops workers from
-// *claiming* further trials (trials already claimed run to completion,
-// so cancellation lands exactly at trial boundaries and every result
-// that was produced is a complete, checkpointable trial), and a panic
-// inside body is recovered into that trial's error instead of killing
-// the process — a poisoned configuration fails one job, not the
-// server.
-//
-// The error is the lowest failing trial index among the trials that
-// ran (panics included), or ctx.Err() if the context was cancelled and
-// no trial failed. A nil ctx never cancels.
-func ForEachTrialCtx(ctx context.Context, trials, parallelism int, body func(trial int) error) error {
-	if trials <= 0 {
-		return nil
-	}
-	var done <-chan struct{}
-	if ctx != nil {
-		done = ctx.Done()
-	}
-	cancelled := func() bool {
-		select {
-		case <-done:
-			return true
-		default:
-			return false
-		}
-	}
-	guarded := func(trial int) (err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				err = fmt.Errorf("sim: trial %d panicked: %v", trial, p)
-			}
-		}()
-		return body(trial)
-	}
-	workers := parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > trials {
-		workers = trials
-	}
-	var firstErr error
-	if workers == 1 {
-		for trial := 0; trial < trials; trial++ {
-			if cancelled() {
-				break
-			}
-			if err := guarded(trial); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-		if firstErr == nil && ctx != nil && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return firstErr
-	}
-	errs := make([]error, trials)
-	var (
-		next int64 = -1
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if cancelled() {
-					return
-				}
-				trial := int(atomic.AddInt64(&next, 1))
-				if trial >= trials {
-					return
-				}
-				errs[trial] = guarded(trial)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	if ctx != nil && ctx.Err() != nil {
-		return ctx.Err()
-	}
-	return nil
-}
-
-// ForEachTrialRangeCtx is the range-claiming variant of
-// ForEachTrialCtx, built for batch executors that amortize per-config
-// state across consecutive trials: each worker claims a contiguous
-// range [lo, hi) of up to width trials at a time and runs
-// body(lo, hi) once per claim. Bodies must derive all randomness from
-// the absolute trial indices (e.g. rng.DeriveSeed per index), so —
-// like the index scheduler — every trial's outcome is identical for
-// any worker count and any width.
-//
-// Cancellation lands at range boundaries: a cancelled context stops
-// workers from claiming further ranges, but a claimed range runs to
-// completion (bodies are expected to check cancellation per trial
-// themselves when ranges are long). A panic inside body is recovered
-// into that range's error. The returned error is that of the
-// lowest-starting failing range, or ctx.Err() if cancelled and no
-// range failed.
+// All claimed ranges run even when some fail. Cancellation lands at
+// range boundaries: a cancelled context stops workers from claiming
+// further ranges, but a claimed range runs to completion (bodies are
+// expected to check cancellation per trial themselves when ranges are
+// long), so every result produced is a complete, checkpointable trial.
+// A panic inside body is recovered into that range's error instead of
+// killing the process — a poisoned configuration fails one job, not
+// the server. The returned error is that of the lowest-starting
+// failing range, or ctx.Err() if cancelled and no range failed. A nil
+// ctx never cancels.
 func ForEachTrialRangeCtx(ctx context.Context, trials, parallelism, width int, body func(lo, hi int) error) error {
 	if trials <= 0 {
 		return nil
@@ -236,7 +86,11 @@ func ForEachTrialRangeCtx(ctx context.Context, trials, parallelism, width int, b
 	guarded := func(lo, hi int) (err error) {
 		defer func() {
 			if p := recover(); p != nil {
-				err = fmt.Errorf("sim: trial range [%d, %d) panicked: %v", lo, hi, p)
+				if hi-lo == 1 {
+					err = fmt.Errorf("sim: trial %d panicked: %v", lo, p)
+				} else {
+					err = fmt.Errorf("sim: trial range [%d, %d) panicked: %v", lo, hi, p)
+				}
 			}
 		}()
 		return body(lo, hi)
@@ -309,6 +163,9 @@ func ForEachTrialRangeCtx(ctx context.Context, trials, parallelism, width int, b
 // RunMany executes the trials and returns the results indexed by
 // trial. Trials are independent: trial i's stream depends only on
 // (Seed, i), so results are reproducible regardless of parallelism.
+// A panicking trial (e.g. in Init or Observe) panics RunMany with the
+// lowest failing trial's error, rather than leaving a zero
+// TrialResult in the batch.
 func RunMany(spec Spec) []TrialResult {
 	if spec.Protocol == nil || spec.Init == nil {
 		panic("sim: Spec requires Protocol and Init")
@@ -318,7 +175,7 @@ func RunMany(spec Spec) []TrialResult {
 		trials = 1
 	}
 	results := make([]TrialResult, trials)
-	ForEachTrial(trials, spec.Parallelism, func(trial int) error {
+	err := ForEachTrialRangeCtx(nil, trials, spec.Parallelism, 1, func(trial, _ int) error {
 		r := rng.New(rng.DeriveSeed(spec.Seed, uint64(trial)))
 		v := spec.Init(trial)
 		cfg := core.RunConfig{
@@ -333,6 +190,9 @@ func RunMany(spec Spec) []TrialResult {
 		results[trial] = TrialResult{Trial: trial, RunResult: res}
 		return nil
 	})
+	if err != nil {
+		panic(err)
+	}
 	return results
 }
 

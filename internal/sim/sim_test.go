@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -84,6 +85,35 @@ func TestRunManyPanicsWithoutRequiredFields(t *testing.T) {
 		}
 	}()
 	RunMany(Spec{})
+}
+
+// TestRunManyPanicsOnTrialPanic: a panicking trial is not swallowed
+// into a zero TrialResult; RunMany re-panics naming the lowest failing
+// trial, for serial and parallel worker counts alike.
+func TestRunManyPanicsOnTrialPanic(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		func() {
+			defer func() {
+				p := recover()
+				err, ok := p.(error)
+				if !ok || !strings.Contains(err.Error(), "trial 3 panicked: poisoned init") {
+					t.Fatalf("parallelism %d: recovered %v, want trial 3's panic", parallelism, p)
+				}
+			}()
+			RunMany(Spec{
+				Protocol: core.ThreeMajority{},
+				Init: func(trial int) *population.Vector {
+					if trial == 3 || trial == 5 {
+						panic("poisoned init")
+					}
+					return population.Balanced(200, 2)
+				},
+				Trials:      8,
+				Seed:        1,
+				Parallelism: parallelism,
+			})
+		}()
+	}
 }
 
 func TestRunManyDefaultsToOneTrial(t *testing.T) {
