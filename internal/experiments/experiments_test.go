@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"fmt"
+	"os"
+	"runtime"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"plurality/internal/tablefmt"
@@ -46,6 +50,11 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
+// ranExperiments memoizes runExperiment per (ID, GOMAXPROCS), so the
+// shape tests and TestRecordedOutputMatches share one run of each
+// driver while `go test -cpu 1,4` still reruns it at each core count.
+var ranExperiments sync.Map
+
 // runExperiment executes an experiment at Quick scale and applies
 // basic shape checks to its tables.
 func runExperiment(t *testing.T, id string) []tablefmt.Table {
@@ -54,7 +63,12 @@ func runExperiment(t *testing.T, id string) []tablefmt.Table {
 	if !ok {
 		t.Fatalf("experiment %q not registered", id)
 	}
-	tables := e.Run(Options{Scale: Quick, Seed: 1})
+	key := fmt.Sprintf("%s/%d", id, runtime.GOMAXPROCS(0))
+	cached, ok := ranExperiments.Load(key)
+	if !ok {
+		cached, _ = ranExperiments.LoadOrStore(key, e.Run(Options{Scale: Quick, Seed: 1}))
+	}
+	tables := cached.([]tablefmt.Table)
 	if len(tables) == 0 {
 		t.Fatalf("%s returned no tables", id)
 	}
@@ -72,6 +86,77 @@ func runExperiment(t *testing.T, id string) []tablefmt.Table {
 		}
 	}
 	return tables
+}
+
+// TestRecordedOutputMatches pins every driver's Quick/seed-1 tables to
+// its block of "Recorded output (quick scale)" in EXPERIMENTS.md,
+// "# completed in" timing lines aside. A change that moves a recorded
+// number must regenerate the record (go run ./cmd/conbench -run all).
+func TestRecordedOutputMatches(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every driver")
+	}
+	recorded := recordedBlocks(t)
+	for _, e := range All() {
+		t.Run(e.ID, func(t *testing.T) {
+			want, ok := recorded[e.ID]
+			if !ok {
+				t.Fatalf("EXPERIMENTS.md records no block for %q", e.ID)
+			}
+			var b strings.Builder
+			fmt.Fprintf(&b, "# %s — %s (%s)\n\n", e.ID, e.Title, e.Artifact)
+			if err := tablefmt.RenderAll(&b, runExperiment(t, e.ID)); err != nil {
+				t.Fatal(err)
+			}
+			got := b.String()
+			if got == want {
+				return
+			}
+			gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+			for i := 0; i < len(gotLines) || i < len(wantLines); i++ {
+				var g, w string
+				if i < len(gotLines) {
+					g = gotLines[i]
+				}
+				if i < len(wantLines) {
+					w = wantLines[i]
+				}
+				if g != w {
+					t.Fatalf("output differs from EXPERIMENTS.md at block line %d:\n got: %q\nwant: %q", i+1, g, w)
+				}
+			}
+		})
+	}
+}
+
+// recordedBlocks splits the recorded quick-scale output of
+// EXPERIMENTS.md into one block per experiment ID, dropping the
+// "# completed in" timing lines.
+func recordedBlocks(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile("../../EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "## Recorded output (quick scale)\n\n```\n")
+	if ok {
+		section, _, ok = strings.Cut(section, "```\n")
+	}
+	if !ok {
+		t.Fatal("EXPERIMENTS.md has no fenced \"Recorded output (quick scale)\" section")
+	}
+	blocks := map[string]string{}
+	id := ""
+	for _, line := range strings.SplitAfter(section, "\n") {
+		if strings.HasPrefix(line, "# completed in ") {
+			continue
+		}
+		if fields := strings.Fields(line); len(fields) > 1 && fields[0] == "#" {
+			id = fields[1]
+		}
+		blocks[id] += line
+	}
+	return blocks
 }
 
 func cellFloat(t *testing.T, s string) float64 {
