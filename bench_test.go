@@ -1,8 +1,9 @@
-package plurality
+package plurality_test
 
 import (
 	"testing"
 
+	"plurality"
 	"plurality/internal/experiments"
 )
 
@@ -95,38 +96,38 @@ func BenchmarkExperimentZoo(b *testing.B) { benchmarkExperiment(b, "zoo") }
 // cross-validation and the fault sweep.
 func BenchmarkExperimentGossip(b *testing.B) { benchmarkExperiment(b, "gossip") }
 
+// benchmarkConsensus runs e once per iteration, trial 0 seeded by the
+// iteration, and fails unless every run reaches consensus.
+func benchmarkConsensus(b *testing.B, e plurality.Experiment) {
+	for i := 0; i < b.N; i++ {
+		e.Seed = uint64(i + 1)
+		out, err := e.Run()
+		if err != nil || !out.Trials[0].Consensus {
+			b.Fatalf("run failed: %v %+v", err, out)
+		}
+	}
+}
+
 // BenchmarkRunThreeMajority measures a full public-API consensus run
 // (n = 10^6, k = 100, ~200 rounds).
 func BenchmarkRunThreeMajority(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			N:        1_000_000,
-			Protocol: ThreeMajority(),
-			Init:     Balanced(100),
-			Seed:     uint64(i + 1),
-		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
-	}
+	benchmarkConsensus(b, plurality.Experiment{
+		N:        1_000_000,
+		Protocol: plurality.ThreeMajority(),
+		Init:     plurality.Balanced(100),
+	})
 }
 
 // BenchmarkRunTwoChoices measures a full public-API consensus run for
 // 2-Choices (n = 10^6, k = 100).
 func BenchmarkRunTwoChoices(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			N:        1_000_000,
-			Protocol: TwoChoices(),
-			Init:     Balanced(100),
-			Seed:     uint64(i + 1),
-		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
-	}
+	benchmarkConsensus(b, plurality.Experiment{
+		N:        1_000_000,
+		Protocol: plurality.TwoChoices(),
+		Init:     plurality.Balanced(100),
+	})
 }
 
 // BenchmarkRunThreeMajorityManyOpinions measures the paper's headline
@@ -136,17 +137,11 @@ func BenchmarkRunTwoChoices(b *testing.B) {
 // paying Θ(k) per round.
 func BenchmarkRunThreeMajorityManyOpinions(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			N:        100_000,
-			Protocol: ThreeMajority(),
-			Init:     Balanced(100_000),
-			Seed:     uint64(i + 1),
-		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
-	}
+	benchmarkConsensus(b, plurality.Experiment{
+		N:        100_000,
+		Protocol: plurality.ThreeMajority(),
+		Init:     plurality.Balanced(100_000),
+	})
 }
 
 // BenchmarkRunTwoChoicesManyOpinions is the 2-Choices twin of the
@@ -155,17 +150,11 @@ func BenchmarkRunThreeMajorityManyOpinions(b *testing.B) {
 // exercises the same all-singletons start at tractable cost.
 func BenchmarkRunTwoChoicesManyOpinions(b *testing.B) {
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			N:        10_000,
-			Protocol: TwoChoices(),
-			Init:     Balanced(10_000),
-			Seed:     uint64(i + 1),
-		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
-	}
+	benchmarkConsensus(b, plurality.Experiment{
+		N:        10_000,
+		Protocol: plurality.TwoChoices(),
+		Init:     plurality.Balanced(10_000),
+	})
 }
 
 // Ablation benches: the design choices DESIGN.md calls out, measured
@@ -176,64 +165,42 @@ func BenchmarkRunTwoChoicesManyOpinions(b *testing.B) {
 // BenchmarkAblationCountsEngine runs a full consensus at n = 10^5,
 // k = 16 on the exact count-space engine.
 func BenchmarkAblationCountsEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			N:        100_000,
-			Protocol: ThreeMajority(),
-			Init:     Balanced(16),
-			Seed:     uint64(i + 1),
-		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
-	}
+	benchmarkConsensus(b, plurality.Experiment{
+		N:        100_000,
+		Protocol: plurality.ThreeMajority(),
+		Init:     plurality.Balanced(16),
+	})
 }
 
 // BenchmarkAblationAgentEngine runs the same instance on the O(n)
 // per-vertex agent engine (complete-graph topology).
 func BenchmarkAblationAgentEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunOnGraph(GraphConfig{
-			N:        100_000,
-			Topology: CompleteTopology(),
-			Protocol: ThreeMajority(),
-			Init:     Balanced(16),
-			Seed:     uint64(i + 1),
-		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
-	}
+	benchmarkConsensus(b, plurality.Experiment{
+		Mode:     plurality.ModeGraph,
+		N:        100_000,
+		Topology: plurality.CompleteTopology(),
+		Protocol: plurality.ThreeMajority(),
+		Init:     plurality.Balanced(16),
+	})
 }
 
 // BenchmarkAblationGossipEngine runs a (smaller) instance as a real
 // message-passing network — the cost of actual concurrency.
 func BenchmarkAblationGossipEngine(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := RunGossip(GossipConfig{
-			N:        1_000,
-			Protocol: ThreeMajority(),
-			Init:     Balanced(16),
-			Seed:     uint64(i + 1),
-		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
-	}
+	benchmarkConsensus(b, plurality.Experiment{
+		Mode:     plurality.ModeGossip,
+		N:        1_000,
+		Protocol: plurality.ThreeMajority(),
+		Init:     plurality.Balanced(16),
+	})
 }
 
 // BenchmarkAblationLazy measures the laziness ablation: β = 0.5 should
 // roughly double the consensus time of the wrapped dynamics.
 func BenchmarkAblationLazy(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res, err := Run(Config{
-			N:        100_000,
-			Protocol: LazyVariant(ThreeMajority(), 0.5),
-			Init:     Balanced(16),
-			Seed:     uint64(i + 1),
-		})
-		if err != nil || !res.Consensus {
-			b.Fatalf("run failed: %v %+v", err, res)
-		}
-	}
+	benchmarkConsensus(b, plurality.Experiment{
+		N:        100_000,
+		Protocol: plurality.LazyVariant(plurality.ThreeMajority(), 0.5),
+		Init:     plurality.Balanced(16),
+	})
 }

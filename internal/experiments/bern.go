@@ -3,10 +3,10 @@ package experiments
 import (
 	"math"
 
+	"plurality"
 	"plurality/internal/core"
 	"plurality/internal/population"
 	"plurality/internal/rng"
-	"plurality/internal/sim"
 	"plurality/internal/tablefmt"
 	"plurality/internal/theory"
 )
@@ -45,19 +45,22 @@ func runBern(opts Options) []tablefmt.Table {
 		Columns: []string{"dynamics", "λ·√s", "λD", "empirical E[e^{λX}]", "Bernstein bound", "ok"},
 	}
 
+	// step drives the one-step MGF estimator directly; proto runs the
+	// tail trials.
 	dyns := []struct {
-		proto core.Protocol
+		step  core.Protocol
+		proto plurality.Protocol
 		dyn   theory.Dynamics
 	}{
-		{core.ThreeMajority{}, theory.ThreeMajority},
-		{core.TwoChoices{}, theory.TwoChoices},
+		{core.ThreeMajority{}, plurality.ThreeMajority(), theory.ThreeMajority},
+		{core.TwoChoices{}, plurality.TwoChoices(), theory.TwoChoices},
 	}
 	for di, d := range dyns {
 		dd, s := theory.BernsteinParamsAlpha(d.dyn, v0.Alpha(opinion), v0.Gamma(), float64(n))
 		expNext := theory.ExpAlphaNext(v0.Alpha(opinion), v0.Gamma())
 		for li, lamScale := range []float64{0.25, 0.5, 1, 2} {
 			lambda := lamScale / math.Sqrt(s)
-			emp := empiricalMGF(d.proto, v0, opinion, expNext, lambda, mgfTrials, opts.Seed*37+uint64(di*10+li))
+			emp := empiricalMGF(d.step, v0, opinion, expNext, lambda, mgfTrials, opts.Seed*37+uint64(di*10+li))
 			bound, ok := theory.BernsteinMGFBound(lambda, dd, s)
 			pass := ok && emp <= bound*1.02 // 2% Monte Carlo tolerance
 			mgf.AddRow(d.proto.Name(), lamScale, lambda*dd, emp, bound, pass)
@@ -76,18 +79,22 @@ func runBern(opts Options) []tablefmt.Table {
 	for di, d := range dyns {
 		dd, s := theory.BernsteinParamsGamma(d.dyn, (1+c.CGammaUp)*gamma0, float64(n))
 		for _, T := range []int{5, 20, 80} {
-			drops := 0
-			results := sim.RunMany(sim.Spec{
+			dropped := make([]bool, tailTrials)
+			run(plurality.Experiment{
 				Protocol:    d.proto,
-				Init:        func(int) *population.Vector { return v0.Clone() },
-				Trials:      tailTrials,
+				Init:        plurality.Counts(v0.Counts()),
+				NumTrials:   tailTrials,
 				Seed:        opts.Seed*53 + uint64(di*1000+T),
 				Parallelism: opts.Parallelism,
 				MaxRounds:   T,
-				Done:        func(v *population.Vector) bool { return v.Gamma() <= hazard },
+				OnRound: func(trial, _ int, s plurality.Snapshot) bool {
+					dropped[trial] = s.Gamma() <= hazard
+					return dropped[trial]
+				},
 			})
-			for _, res := range results {
-				if res.Consensus { // Done fired: γ dropped below the hazard
+			drops := 0
+			for _, hit := range dropped {
+				if hit {
 					drops++
 				}
 			}

@@ -1,13 +1,10 @@
 package experiments
 
 import (
-	"plurality/internal/adversary"
-	"plurality/internal/async"
-	"plurality/internal/core"
+	"plurality"
 	"plurality/internal/graph"
 	"plurality/internal/population"
 	"plurality/internal/rng"
-	"plurality/internal/sim"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 )
@@ -34,18 +31,17 @@ func runAsync(opts Options) []tablefmt.Table {
 		Columns: []string{"k", "sync rounds med", "async ticks/n med", "ratio async/sync"},
 	}
 	for ki, k := range ks {
-		syncMed := medianConsensusTime(core.ThreeMajority{}, n, k, trials, opts, 500+uint64(ki))
-
-		asyncRounds := make([]float64, 0, trials)
-		for trial := 0; trial < trials; trial++ {
-			r := rng.New(rng.DeriveSeed(opts.Seed*601+uint64(ki), uint64(trial)))
-			res := async.Run(r, async.ThreeMajority, population.Balanced(n, k), 1_000_000_000, nil, nil)
-			if !res.Consensus {
-				panic("experiments: async run did not converge")
-			}
-			asyncRounds = append(asyncRounds, res.Rounds)
-		}
-		asyncMed := stats.Median(asyncRounds)
+		syncMed := medianConsensusTime(plurality.ThreeMajority(), n, k, trials, opts, 500+uint64(ki))
+		asyncMed := medianRounds(plurality.Experiment{
+			Mode:        plurality.ModeAsync,
+			Protocol:    plurality.ThreeMajority(),
+			N:           n,
+			Init:        plurality.Balanced(k),
+			NumTrials:   trials,
+			Seed:        opts.Seed*601 + uint64(ki),
+			Parallelism: opts.Parallelism,
+			MaxTicks:    1_000_000_000,
+		})
 		table.AddRow(k, syncMed, asyncMed, asyncMed/syncMed)
 	}
 	return []tablefmt.Table{table}
@@ -76,22 +72,17 @@ func runAdv(opts Options) []tablefmt.Table {
 	}
 	baseline := 0.0
 	for fi, f := range fs {
-		results := sim.RunMany(sim.Spec{
-			Protocol:    core.ThreeMajority{},
-			Init:        func(int) *population.Vector { return population.Balanced(n, k) },
-			Trials:      trials,
+		times := convergedRounds(run(plurality.Experiment{
+			Protocol:    plurality.ThreeMajority(),
+			N:           n,
+			Init:        plurality.Balanced(k),
+			NumTrials:   trials,
 			Seed:        opts.Seed*433 + uint64(fi),
 			Parallelism: opts.Parallelism,
 			MaxRounds:   maxRounds,
-			PostRound:   adversary.PostRound(adversary.Hinder{F: f}),
-		})
-		converged := sim.CountConverged(results)
-		times := make([]float64, 0, converged)
-		for _, res := range results {
-			if res.Consensus {
-				times = append(times, float64(res.Rounds))
-			}
-		}
+			Adversary:   plurality.HinderAdversary(f),
+		}))
+		converged := len(times)
 		med := stats.Median(times)
 		if f == 0 {
 			baseline = med
@@ -131,7 +122,7 @@ func runHMaj(opts Options) []tablefmt.Table {
 	}
 	medByH := map[int]float64{}
 	for hi, h := range hs {
-		med := medianConsensusTime(core.HMajority{H: h}, n, k, trials, opts, 700+uint64(hi))
+		med := medianConsensusTime(plurality.HMajority(h), n, k, trials, opts, 700+uint64(hi))
 		medByH[h] = med
 	}
 	for _, h := range hs {

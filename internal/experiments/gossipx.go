@@ -1,10 +1,7 @@
 package experiments
 
 import (
-	"plurality/internal/core"
-	"plurality/internal/gossip"
-	"plurality/internal/population"
-	"plurality/internal/sim"
+	"plurality"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 )
@@ -26,44 +23,24 @@ func runGossip(opts Options) []tablefmt.Table {
 		trials = 7
 	}
 
-	gossipMedian := func(rule gossip.Rule, crashed []int, loss float64, salt uint64) (float64, int) {
-		times := make([]float64, 0, trials)
-		converged := 0
-		for trial := 0; trial < trials; trial++ {
-			nw, err := gossip.New(gossip.Config{
-				N:        n,
-				Rule:     rule,
-				Init:     population.Balanced(int64(n), k),
-				Seed:     opts.Seed*2221 + salt*131 + uint64(trial),
-				Crashed:  crashed,
-				LossProb: loss,
-			})
-			if err != nil {
-				panic(err)
-			}
-			res := nw.Run(maxRounds, nil, nil)
-			nw.Close()
-			if res.Consensus {
-				converged++
-				times = append(times, float64(res.Rounds))
-			}
-		}
-		return stats.Median(times), converged
-	}
-
-	engineMedian := func(proto core.Protocol, salt uint64) float64 {
-		results := sim.RunMany(sim.Spec{
-			Protocol:    proto,
-			Init:        func(int) *population.Vector { return population.Balanced(int64(n), k) },
-			Trials:      trials,
+	experiment := func(p plurality.Protocol, salt uint64) plurality.Experiment {
+		return plurality.Experiment{
+			Protocol:    p,
+			N:           int64(n),
+			Init:        plurality.Balanced(k),
+			NumTrials:   trials,
 			Seed:        opts.Seed*2221 + salt*131,
 			Parallelism: opts.Parallelism,
-		})
-		times, err := sim.ConsensusTimes(results)
-		if err != nil {
-			panic(err)
 		}
-		return stats.Median(times)
+	}
+	gossipMedian := func(p plurality.Protocol, crashed []int, loss float64, salt uint64) (float64, int) {
+		e := experiment(p, salt)
+		e.Mode = plurality.ModeGossip
+		e.MaxRounds = maxRounds
+		e.Crashed = crashed
+		e.LossProb = loss
+		times := convergedRounds(run(e))
+		return stats.Median(times), len(times)
 	}
 
 	crossTable := tablefmt.Table{
@@ -72,17 +49,10 @@ func runGossip(opts Options) []tablefmt.Table {
 			"simulate the same process; median consensus times must agree up to trial noise.",
 		Columns: []string{"dynamics", "engine rounds med", "gossip rounds med", "ratio"},
 	}
-	pairs := []struct {
-		proto core.Protocol
-		rule  gossip.Rule
-	}{
-		{core.ThreeMajority{}, gossip.ThreeMajority},
-		{core.TwoChoices{}, gossip.TwoChoices},
-	}
-	for pi, pair := range pairs {
-		e := engineMedian(pair.proto, uint64(pi))
-		g, _ := gossipMedian(pair.rule, nil, 0, uint64(pi)+10)
-		crossTable.AddRow(pair.proto.Name(), e, g, g/e)
+	for pi, p := range []plurality.Protocol{plurality.ThreeMajority(), plurality.TwoChoices()} {
+		e := medianRounds(experiment(p, uint64(pi)))
+		g, _ := gossipMedian(p, nil, 0, uint64(pi)+10)
+		crossTable.AddRow(p.Name(), e, g, g/e)
 	}
 
 	faultTable := tablefmt.Table{
@@ -91,17 +61,17 @@ func runGossip(opts Options) []tablefmt.Table {
 			"puller keep its opinion for the round. Consensus is among alive nodes.",
 		Columns: []string{"scenario", "converged", "median rounds"},
 	}
-	clean, conv := gossipMedian(gossip.TwoChoices, nil, 0, 20)
+	clean, conv := gossipMedian(plurality.TwoChoices(), nil, 0, 20)
 	faultTable.AddRow("clean", tablefmt.Cell(conv)+"/"+tablefmt.Cell(trials), clean)
 
 	crashed := make([]int, 0, n/20)
 	for id := 0; id < n; id += 20 {
 		crashed = append(crashed, id)
 	}
-	withCrash, conv := gossipMedian(gossip.TwoChoices, crashed, 0, 21)
+	withCrash, conv := gossipMedian(plurality.TwoChoices(), crashed, 0, 21)
 	faultTable.AddRow("5% crashed", tablefmt.Cell(conv)+"/"+tablefmt.Cell(trials), withCrash)
 
-	withLoss, conv := gossipMedian(gossip.TwoChoices, nil, 0.4, 22)
+	withLoss, conv := gossipMedian(plurality.TwoChoices(), nil, 0.4, 22)
 	faultTable.AddRow("40% pull loss", tablefmt.Cell(conv)+"/"+tablefmt.Cell(trials), withLoss)
 
 	return []tablefmt.Table{crossTable, faultTable}

@@ -3,9 +3,8 @@ package experiments
 import (
 	"math"
 
-	"plurality/internal/core"
+	"plurality"
 	"plurality/internal/population"
-	"plurality/internal/sim"
 	"plurality/internal/stats"
 	"plurality/internal/tablefmt"
 	"plurality/internal/theory"
@@ -42,12 +41,12 @@ func runThm26(opts Options) []tablefmt.Table {
 	for mi, m := range multipliers {
 		margin3 := m * theory.PluralityMargin(theory.ThreeMajority, float64(n), 0)
 		extra3 := int64(margin3 * float64(n))
-		p3, lo3, hi3 := pluralityRate(core.ThreeMajority{}, n, k, extra3, trials, opts, 300+uint64(mi))
+		p3, lo3, hi3 := pluralityRate(plurality.ThreeMajority(), n, k, extra3, trials, opts, 300+uint64(mi))
 
 		alpha1 := 1.0 / float64(k)
 		margin2 := m * theory.PluralityMargin(theory.TwoChoices, float64(n), alpha1)
 		extra2 := int64(margin2 * float64(n))
-		p2, lo2, hi2 := pluralityRate(core.TwoChoices{}, n, k, extra2, trials, opts, 400+uint64(mi))
+		p2, lo2, hi2 := pluralityRate(plurality.TwoChoices(), n, k, extra2, trials, opts, 400+uint64(mi))
 
 		table.AddRow(
 			m, extra3, p3, ciString(lo3, hi3),
@@ -75,10 +74,10 @@ func runThm26(opts Options) []tablefmt.Table {
 		Columns: []string{"dynamics", "n", "k", "γ0", "margin", "P[planted wins]", "95% CI"},
 	}
 	margin3 := 2 * theory.PluralityMargin(theory.ThreeMajority, float64(smallN), 0)
-	p3, lo3, hi3 := pluralityRate(core.ThreeMajority{}, smallN, smallK, int64(margin3*float64(smallN)), trials, opts, 900)
+	p3, lo3, hi3 := pluralityRate(plurality.ThreeMajority(), smallN, smallK, int64(margin3*float64(smallN)), trials, opts, 900)
 	small.AddRow("3-majority", smallN, smallK, gamma0, margin3, p3, ciString(lo3, hi3))
 	margin2 := 2 * theory.PluralityMargin(theory.TwoChoices, float64(smallN), gamma0)
-	p2, lo2, hi2 := pluralityRate(core.TwoChoices{}, smallN, smallK, int64(margin2*float64(smallN)), trials, opts, 901)
+	p2, lo2, hi2 := pluralityRate(plurality.TwoChoices(), smallN, smallK, int64(margin2*float64(smallN)), trials, opts, 901)
 	small.AddRow("2-choices", smallN, smallK, gamma0, margin2, p2, ciString(lo2, hi2))
 
 	return []tablefmt.Table{table, small}
@@ -86,11 +85,11 @@ func runThm26(opts Options) []tablefmt.Table {
 
 // pluralityRate runs trials from PlantedBias(n, k, extra) and returns
 // the rate at which opinion 0 wins, with its Wilson 95% interval.
-func pluralityRate(p core.Protocol, n int64, k int, extra int64, trials int, opts Options, salt uint64) (rate, lo, hi float64) {
-	results := sim.RunMany(sim.Spec{
+func pluralityRate(p plurality.Protocol, n int64, k int, extra int64, trials int, opts Options, salt uint64) (rate, lo, hi float64) {
+	results := run(plurality.Experiment{
 		Protocol:    p,
-		Init:        func(int) *population.Vector { return population.PlantedBias(n, k, extra) },
-		Trials:      trials,
+		Init:        plurality.Counts(population.PlantedBias(n, k, extra).Counts()),
+		NumTrials:   trials,
 		Seed:        opts.Seed*7907 + salt,
 		Parallelism: opts.Parallelism,
 	})
@@ -132,20 +131,17 @@ func runThm27(opts Options) []tablefmt.Table {
 	}
 
 	logN := math.Log(float64(n))
-	for _, p := range []core.Protocol{core.ThreeMajority{}, core.TwoChoices{}} {
-		_, is3Maj := p.(core.ThreeMajority)
+	for _, p := range []plurality.Protocol{plurality.ThreeMajority(), plurality.TwoChoices()} {
+		is3Maj := p.Name() == plurality.ThreeMajority().Name()
 		for ki, k := range ks {
-			results := sim.RunMany(sim.Spec{
+			times := hitTimes(run(plurality.Experiment{
 				Protocol:    p,
-				Init:        func(int) *population.Vector { return population.Balanced(n, k) },
-				Trials:      trials,
+				N:           n,
+				Init:        plurality.Balanced(k),
+				NumTrials:   trials,
 				Seed:        opts.Seed*6133 + uint64(ki),
 				Parallelism: opts.Parallelism,
-			})
-			times, err := sim.ConsensusTimes(results)
-			if err != nil {
-				panic(err)
-			}
+			}), nil)
 			minT := math.Inf(1)
 			for _, t := range times {
 				if t < minT {
@@ -198,25 +194,20 @@ func runLem52(opts Options) []tablefmt.Table {
 		},
 	}
 
-	for pi, p := range []core.Protocol{core.ThreeMajority{}, core.TwoChoices{}} {
-		results := sim.RunMany(sim.Spec{
+	for pi, p := range []plurality.Protocol{plurality.ThreeMajority(), plurality.TwoChoices()} {
+		vanished := make([]bool, trials)
+		results := run(plurality.Experiment{
 			Protocol:    p,
-			Init:        func(int) *population.Vector { return v0.Clone() },
-			Trials:      trials,
+			Init:        plurality.Counts(v0.Counts()),
+			NumTrials:   trials,
 			Seed:        opts.Seed*509 + uint64(pi),
 			Parallelism: opts.Parallelism,
-			Done:        func(v *population.Vector) bool { return v.Count(weakIdx) == 0 },
+			OnRound: func(trial, _ int, s plurality.Snapshot) bool {
+				vanished[trial] = s.Count(weakIdx) == 0
+				return vanished[trial]
+			},
 		})
-		times, err := sim.ConsensusTimes(results)
-		if err != nil {
-			panic(err)
-		}
-		weakWon := 0
-		for _, res := range results {
-			if res.Winner == weakIdx {
-				weakWon++
-			}
-		}
+		times, weakWon := weakVanishTimes(results, vanished, weakIdx)
 		med := stats.Median(times)
 		maxT := stats.Quantile(times, 1)
 		table.AddRow(
@@ -225,6 +216,23 @@ func runLem52(opts Options) []tablefmt.Table {
 		)
 	}
 	return []tablefmt.Table{table}
+}
+
+// weakVanishTimes summarizes lem52's trials: the rounds at which the
+// weak opinion vanished (marked in vanished, indexed by trial) and the
+// number of trials it won instead — consensus ends those, and they
+// must not count as vanish times. A trial that did neither panics,
+// naming it (see hitTimes).
+func weakVanishTimes(trials []plurality.TrialResult, vanished []bool, weak int) (times []float64, weakWins int) {
+	rest := make([]plurality.TrialResult, 0, len(trials))
+	for _, tr := range trials {
+		if tr.Consensus && tr.Winner == weak {
+			weakWins++
+			continue
+		}
+		rest = append(rest, tr)
+	}
+	return hitTimes(rest, vanished), weakWins
 }
 
 // runLem55 reproduces Lemma 5.5: from two strong leaders separated by
@@ -259,21 +267,19 @@ func runLem55(opts Options) []tablefmt.Table {
 		},
 	}
 
-	for pi, p := range []core.Protocol{core.ThreeMajority{}, core.TwoChoices{}} {
-		results := sim.RunMany(sim.Spec{
+	for pi, p := range []plurality.Protocol{plurality.ThreeMajority(), plurality.TwoChoices()} {
+		weak := make([]bool, trials)
+		times := hitTimes(run(plurality.Experiment{
 			Protocol:    p,
-			Init:        func(int) *population.Vector { return v0.Clone() },
-			Trials:      trials,
+			Init:        plurality.Counts(v0.Counts()),
+			NumTrials:   trials,
 			Seed:        opts.Seed*769 + uint64(pi),
 			Parallelism: opts.Parallelism,
-			Done: func(v *population.Vector) bool {
-				return c.IsWeak(v.Alpha(1), v.Gamma()) || v.Count(1) == 0
+			OnRound: func(trial, _ int, s plurality.Snapshot) bool {
+				weak[trial] = c.IsWeak(s.Alpha(1), s.Gamma()) || s.Count(1) == 0
+				return weak[trial]
 			},
-		})
-		times, err := sim.ConsensusTimes(results)
-		if err != nil {
-			panic(err)
-		}
+		}), weak)
 		med := stats.Median(times)
 		maxT := stats.Quantile(times, 1)
 		table.AddRow(p.Name(), gamma0, v0.Bias(0, 1), med, med*gamma0/logN, maxT*gamma0/logN)
@@ -302,34 +308,9 @@ func runRem25(opts Options) []tablefmt.Table {
 		Columns: []string{"T", "live(T) mean", "bound n·ln n/T", "live·T/(n·ln n)"},
 	}
 
-	liveAt := make(map[int]*stats.Welford, len(checkpoints))
-	for _, cp := range checkpoints {
-		liveAt[cp] = &stats.Welford{}
-	}
-	maxCheckpoint := checkpoints[len(checkpoints)-1]
-
-	sim.RunMany(sim.Spec{
-		Protocol:    core.ThreeMajority{},
-		Init:        func(int) *population.Vector { return population.Balanced(n, int(n)) },
-		Trials:      trials,
-		Seed:        opts.Seed * 887,
-		Parallelism: 1, // observers write into shared Welfords; keep serial
-		// Consensus is absorbing, so running past it is harmless; keep
-		// going to the last checkpoint so live(T) = 1 is recorded
-		// rather than dropped when consensus arrives early.
-		Done: func(*population.Vector) bool { return false },
-		Observe: func(trial int) func(int, *population.Vector) bool {
-			return func(round int, v *population.Vector) bool {
-				if w, ok := liveAt[round]; ok {
-					w.Add(float64(v.Live()))
-				}
-				return round >= maxCheckpoint
-			}
-		},
-	})
-
-	for _, cp := range checkpoints {
-		mean := liveAt[cp].Mean()
+	live := meanLiveAt(plurality.ThreeMajority(), n, checkpoints, trials, opts.Seed*887, opts.Parallelism)
+	for ci, cp := range checkpoints {
+		mean := live[ci]
 		bound := theory.RemainingOpinionsBound(float64(n), float64(cp))
 		table.AddRow(cp, mean, bound, mean*float64(cp)/(float64(n)*logN))
 	}
@@ -343,36 +324,54 @@ func runRem25(opts Options) []tablefmt.Table {
 	logN2 := math.Log(float64(n2))
 	sqrtN2 := int(math.Sqrt(float64(n2)))
 	checkpoints2 := []int{sqrtN2, 2 * sqrtN2, 4 * sqrtN2}
-	liveAt2 := make(map[int]*stats.Welford, len(checkpoints2))
-	for _, cp := range checkpoints2 {
-		liveAt2[cp] = &stats.Welford{}
-	}
-	maxCp2 := checkpoints2[len(checkpoints2)-1]
-	sim.RunMany(sim.Spec{
-		Protocol:    core.TwoChoices{},
-		Init:        func(int) *population.Vector { return population.Balanced(n2, int(n2)) },
-		Trials:      trials,
-		Seed:        opts.Seed * 888,
-		Parallelism: 1,
-		Done:        func(*population.Vector) bool { return false },
-		Observe: func(trial int) func(int, *population.Vector) bool {
-			return func(round int, v *population.Vector) bool {
-				if w, ok := liveAt2[round]; ok {
-					w.Add(float64(v.Live()))
-				}
-				return round >= maxCp2
-			}
-		},
-	})
+	live2 := meanLiveAt(plurality.TwoChoices(), n2, checkpoints2, trials, opts.Seed*888, opts.Parallelism)
 	contrast := tablefmt.Table{
 		Title: "Contrast: the same decay for 2-Choices (Remark 2.5 says the BCEKMN bound fails here)",
 		Notes: "live·T/(n·ln n) blows up instead of staying constant — the reason the paper's " +
 			"Theorem 2.2 γ-growth argument was needed to cover large k for 2-Choices.",
 		Columns: []string{"T", "live(T) mean", "live·T/(n·ln n)"},
 	}
-	for _, cp := range checkpoints2 {
-		mean := liveAt2[cp].Mean()
+	for ci, cp := range checkpoints2 {
+		mean := live2[ci]
 		contrast.AddRow(cp, mean, mean*float64(cp)/(float64(n2)*logN2))
 	}
 	return []tablefmt.Table{table, contrast}
+}
+
+// meanLiveAt runs p from the balanced k = n configuration and returns
+// the mean live-opinion count at each checkpoint round (ascending).
+// Consensus is absorbing and ends a trial, so checkpoints past it keep
+// their pre-filled live count of 1.
+func meanLiveAt(p plurality.Protocol, n int64, checkpoints []int, trials int, seed uint64, parallelism int) []float64 {
+	live := make([][]float64, trials)
+	for trial := range live {
+		live[trial] = repeat(1, len(checkpoints))
+	}
+	last := checkpoints[len(checkpoints)-1]
+	run(plurality.Experiment{
+		Protocol:    p,
+		N:           n,
+		Init:        plurality.Balanced(int(n)),
+		NumTrials:   trials,
+		Seed:        seed,
+		Parallelism: parallelism,
+		OnRound: func(trial, round int, s plurality.Snapshot) bool {
+			for ci, cp := range checkpoints {
+				if round == cp {
+					live[trial][ci] = float64(s.Live())
+				}
+			}
+			return round >= last
+		},
+	})
+	// Welford in trial order reproduces the serial accumulation bytes.
+	means := make([]float64, len(checkpoints))
+	for ci := range checkpoints {
+		var w stats.Welford
+		for trial := range live {
+			w.Add(live[trial][ci])
+		}
+		means[ci] = w.Mean()
+	}
+	return means
 }
