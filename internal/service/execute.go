@@ -298,10 +298,10 @@ func ExecuteShard(ctx context.Context, q Request, parallelism int, lo, hi int) (
 }
 
 // MergeShards assembles the canonical Response from a request's shard
-// results. The shards must exactly tile [0, q.Trials) — any gap,
-// overlap, or out-of-range shard is an error, because a merged
-// response with missing or duplicated trials would silently poison the
-// result cache. The returned bytes-level encoding is identical to a
+// results. The shards must exactly tile [0, q.Trials), each labelling
+// its trials Lo..Hi-1 — any nil, gap, overlap, out-of-range or
+// mislabelled shard is an error, because a merged response with
+// missing or duplicated trials would silently poison the result cache. The returned bytes-level encoding is identical to a
 // single-process ExecuteParallel run of the same request: trials and
 // trace points concatenate in trial-index order and the summary is
 // recomputed from the full set.
@@ -311,14 +311,24 @@ func MergeShards(q Request, shards []*ShardResult) (*Response, error) {
 		return nil, err
 	}
 	ordered := make([]*ShardResult, len(shards))
-	copy(ordered, shards)
+	for i, s := range shards {
+		if s == nil {
+			return nil, fmt.Errorf("service: shard result %d is nil", i)
+		}
+		ordered[i] = s
+	}
 	sort.Slice(ordered, func(i, j int) bool { return ordered[i].Lo < ordered[j].Lo })
 	var trials []Trial
 	var points []trace.Point
 	next := 0
 	for _, s := range ordered {
-		if s == nil || s.Lo != next || s.Hi <= s.Lo || len(s.Trials) != s.Hi-s.Lo {
+		if s.Lo != next || s.Hi <= s.Lo || len(s.Trials) != s.Hi-s.Lo {
 			return nil, fmt.Errorf("service: shard results do not tile [0, %d) (next=%d)", q.Trials, next)
+		}
+		for i, tr := range s.Trials {
+			if tr.Trial != s.Lo+i {
+				return nil, fmt.Errorf("service: shard [%d, %d) labels trial %d as %d", s.Lo, s.Hi, s.Lo+i, tr.Trial)
+			}
 		}
 		trials = append(trials, s.Trials...)
 		points = append(points, s.Trace...)

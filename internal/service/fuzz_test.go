@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http/httptest"
 	"reflect"
 	"testing"
@@ -46,6 +47,43 @@ func FuzzRunRequest(f *testing.F) {
 		}
 		if q.Key() != again.Key() {
 			t.Fatalf("Key changed across a second Normalize: %s vs %s", q.Key(), again.Key())
+		}
+	})
+}
+
+// FuzzMergeShards decodes arbitrary JSON as a worker's shard results
+// and merges them: MergeShards must never panic, and every merge it
+// accepts labels its trials 0..Trials-1 in order.
+func FuzzMergeShards(f *testing.F) {
+	for _, seed := range []string{
+		`[{"lo":0,"hi":1,"trials":[{"trial":0}]},{"lo":1,"hi":2,"trials":[{"trial":1}]}]`,
+		`[{"lo":0,"hi":2,"trials":[{"trial":0},{"trial":1}]}]`,
+		`[null,{"lo":0,"hi":2,"trials":[{"trial":0},{"trial":1}]}]`,
+		`[{"lo":0,"hi":2,"trials":[{"trial":7},{"trial":7}]}]`,
+		`[{"lo":1,"hi":2,"trials":[{"trial":1}]},{"lo":0,"hi":1,"trials":[{"trial":0}]}]`,
+		`[{"lo":0,"hi":1,"trials":[{"trial":0}]},{"lo":0,"hi":2,"trials":[{"trial":0},{"trial":1}]}]`,
+		`[]`,
+		`null`,
+	} {
+		f.Add([]byte(seed))
+	}
+	q := testRequest(1)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var shards []*ShardResult
+		if json.Unmarshal(data, &shards) != nil {
+			return
+		}
+		resp, err := MergeShards(q, shards)
+		if err != nil {
+			return
+		}
+		if len(resp.Trials) != q.Trials {
+			t.Fatalf("merged %d trials, want %d", len(resp.Trials), q.Trials)
+		}
+		for i, tr := range resp.Trials {
+			if tr.Trial != i {
+				t.Fatalf("merged trial %d is labelled %d", i, tr.Trial)
+			}
 		}
 	})
 }
