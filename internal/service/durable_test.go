@@ -366,6 +366,9 @@ func TestCancelledWaiterDoesNotResubmitAbandonedJob(t *testing.T) {
 	go r.Do(context.Background(), testRequest(100))
 	<-started
 	go r.Do(context.Background(), testRequest(101))
+	for len(r.queue) == 0 {
+		time.Sleep(time.Millisecond)
+	}
 
 	// A blocking submitter parks on the full queue...
 	bctx, bcancel := context.WithCancel(context.Background())
@@ -374,6 +377,11 @@ func TestCancelledWaiterDoesNotResubmitAbandonedJob(t *testing.T) {
 		_, _, err := r.DoWait(bctx, testRequest(102))
 		blockedErr <- err
 	}()
+	// (its job must be registered before the joiner arrives, or the
+	// joiner submits 102 itself and fails fast on the full queue)
+	for r.Metrics().JobsInFlight < 3 {
+		time.Sleep(time.Millisecond)
+	}
 	// ...and a second waiter dedup-joins the parked job.
 	wctx, wcancel := context.WithCancel(context.Background())
 	joinedErr := make(chan error, 1)
