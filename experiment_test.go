@@ -460,3 +460,28 @@ func TestWorkerSplitClamps(t *testing.T) {
 		t.Fatalf("serial stays serial: got %d", got)
 	}
 }
+
+// TestExperimentRunReportsTrialPanic: a panicking trial is not
+// swallowed into a zero TrialResult; Run returns an error naming the
+// lowest failing trial, for serial and parallel worker counts alike.
+func TestExperimentRunReportsTrialPanic(t *testing.T) {
+	for _, parallelism := range []int{1, 4} {
+		out, err := Experiment{
+			N:           200,
+			Protocol:    ThreeMajority(),
+			Init:        Balanced(2),
+			NumTrials:   8,
+			Seed:        1,
+			Parallelism: parallelism,
+			OnRound: func(trial, _ int, _ Snapshot) bool {
+				if trial == 3 || trial == 5 {
+					panic("poisoned hook")
+				}
+				return false
+			},
+		}.Run()
+		if err == nil || !strings.Contains(err.Error(), "trial 3 panicked: poisoned hook") {
+			t.Fatalf("parallelism %d: Run = %v, %v; want trial 3's panic", parallelism, out, err)
+		}
+	}
+}

@@ -17,16 +17,21 @@ func run(e plurality.Experiment) []plurality.TrialResult {
 	return out.Trials
 }
 
-// hitTimes returns the round counts of trials that reached consensus,
-// met their Stop condition, or are marked in hit (indexed by trial; nil
-// when the trials have no OnRound condition). A trial that did none of
-// these was cut by its round budget, and a truncated sample would
-// silently bias time statistics, so hitTimes panics naming it.
+// hitTimes returns the round counts of trials that reached their
+// endpoint: the condition marked in hit (indexed by trial) when hit is
+// non-nil, otherwise consensus or the Stop condition. A trial that
+// ended anywhere else — cut by the round budget, or converged before
+// its condition held — would silently bias the statistic, so hitTimes
+// panics naming it.
 func hitTimes(trials []plurality.TrialResult, hit []bool) []float64 {
 	times := make([]float64, 0, len(trials))
 	for _, tr := range trials {
-		if !tr.Consensus && !tr.Stopped && (hit == nil || !hit[tr.Trial]) {
-			panic(fmt.Sprintf("experiments: trial %d neither hit its condition nor reached consensus within %v rounds", tr.Trial, tr.Rounds))
+		reached := tr.Consensus || tr.Stopped
+		if hit != nil {
+			reached = hit[tr.Trial]
+		}
+		if !reached {
+			panic(fmt.Sprintf("experiments: trial %d ended after %v rounds without reaching its endpoint", tr.Trial, tr.Rounds))
 		}
 		times = append(times, tr.Rounds)
 	}

@@ -23,7 +23,8 @@ func mustPanicWith(t *testing.T, want string, f func()) {
 }
 
 // TestHitTimesPanicsOnTruncatedTrial: trials cut by the round budget
-// are never averaged into a time statistic; the panic names the first
+// are never averaged into a time statistic, nor are trials that
+// converged before their condition held; the panic names the first
 // such trial.
 func TestHitTimesPanicsOnTruncatedTrial(t *testing.T) {
 	trials := run(plurality.Experiment{
@@ -34,12 +35,16 @@ func TestHitTimesPanicsOnTruncatedTrial(t *testing.T) {
 		Seed:      4,
 		MaxRounds: 2,
 	})
-	mustPanicWith(t, "trial 0 neither hit its condition nor reached consensus within 2 rounds", func() {
+	mustPanicWith(t, "trial 0 ended after 2 rounds without reaching its endpoint", func() {
 		hitTimes(trials, nil)
 	})
-	// A trial marked as hit, or ended by its Stop condition, counts.
-	trials[1].Stopped = true
-	if got := hitTimes(trials, []bool{true, false}); !reflect.DeepEqual(got, []float64{2, 2}) {
+	trials[0].Stopped = true
+	trials[1].Consensus = true
+	if got := hitTimes(trials, nil); !reflect.DeepEqual(got, []float64{2, 2}) {
+		t.Fatalf("hitTimes = %v, want [2 2]", got)
+	}
+	mustPanicWith(t, "trial 1 ", func() { hitTimes(trials, []bool{true, false}) })
+	if got := hitTimes(trials, []bool{true, true}); !reflect.DeepEqual(got, []float64{2, 2}) {
 		t.Fatalf("hitTimes = %v, want [2 2]", got)
 	}
 }
