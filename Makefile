@@ -43,13 +43,13 @@ test:
 docs-check:
 	go test -count=1 ./internal/docs/
 
-# cluster-e2e reproduces the CI cluster job locally: the replicated
-# ledger's unit/fleet tests plus the real 5-process kill/failover e2e
-# (SIGKILL the leader and a worker mid-sweep; the merged NDJSON must be
-# byte-identical to a single-process run), all under -race.
+# cluster-e2e reproduces the CI cluster job locally: the ring and
+# in-process fleet tests plus the real 5-process kill/failover e2e
+# (SIGKILL a coordinator and a worker mid-sweep; the merged NDJSON must
+# be byte-identical to a single-process run), all under -race.
 cluster-e2e:
 	go test -race -count=1 -timeout 300s ./internal/cluster/...
-	go test -race -count=1 -timeout 300s -run 'ClusterKillFailover' ./cmd/conserve/
+	go test -race -count=3 -timeout 300s -run 'ClusterKillFailover' ./cmd/conserve/
 
 # bench-baseline refreshes the committed bench-regression baseline.
 # Run it on an otherwise idle machine after a deliberate perf change

@@ -13,7 +13,8 @@
 //
 //	conserve [-addr :8080] [-workers 0] [-parallelism 0] [-queue 64] [-cache 256]
 //	         [-data-dir DIR] [-max-retries 0] [-job-timeout 0] [-drain-timeout 30s]
-//	         [-cluster coordinator|worker -node-id ID -peers id=url,... -coordinators id,...]
+//	         [-cluster coordinator|worker -node-id ID -peers id=url,... -coordinators id,...
+//	          -lease-timeout 2m]
 //
 // -workers sizes the request pool (how many requests run at once);
 // -parallelism is each request's internal budget (trial fan-out in
@@ -35,6 +36,15 @@
 // intake answers 503, running jobs checkpoint and stop at the next
 // trial boundary (journaled as interrupted, so a restart resumes
 // them), bounded by -drain-timeout.
+//
+// -cluster makes the server one node of a static fleet (see
+// internal/cluster): coordinators answer clients and dispatch the
+// request keys they own, consistent-hashed over -coordinators, by
+// running trial shards on the workers and merging them; a coordinator
+// forwards keys it does not own to their owner's /run and dispatches
+// them itself if the owner is unreachable or busy. -lease-timeout
+// bounds one shard execution before it moves to the next worker.
+// Fleet responses are byte-identical to a single node's.
 //
 // Examples:
 //
@@ -78,7 +88,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"syscall"
@@ -99,16 +108,14 @@ type clusterFlags struct {
 	nodeID       string
 	peers        string
 	coordinators string
-	heartbeat    time.Duration
 	leaseTimeout time.Duration
 	parallelism  int
-	dataDir      string
 }
 
-// newClusterNode validates the cluster flags and builds the node. With
-// -data-dir the replica log persists to DIR/cluster.journal, so a
-// restarted node recovers its term and entries and rejoins without
-// violating its votes.
+// newClusterNode validates the cluster flags and builds the node. The
+// node keeps no state of its own on disk: with -data-dir, a
+// coordinator's finished results persist through the runner's store
+// like any other job's.
 func newClusterNode(cf clusterFlags) (*cluster.Node, error) {
 	role := cluster.Role(cf.role)
 	if role != cluster.RoleCoordinator && role != cluster.RoleWorker {
@@ -136,20 +143,11 @@ func newClusterNode(cf clusterFlags) (*cluster.Node, error) {
 		Peers:        peers,
 		Coordinators: coords,
 		Parallelism:  cf.parallelism,
-		Heartbeat:    cf.heartbeat,
 		LeaseTimeout: cf.leaseTimeout,
 		Logf:         log.Printf,
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if cf.dataDir != "" {
-		j, recs, info, err := durable.OpenJournal(durable.OSFS{}, filepath.Join(cf.dataDir, "cluster.journal"))
-		if err != nil {
-			return nil, fmt.Errorf("cluster journal: %w", err)
-		}
-		log.Printf("conserve: cluster journal replay: %d records (%d bytes)", info.Records, info.ValidBytes)
-		cfg.Journal, cfg.Records = j, recs
 	}
 	node, err := cluster.NewNode(cfg)
 	if err != nil {
@@ -205,8 +203,7 @@ func run(ctx context.Context, args []string) error {
 		nodeID       = fs.String("node-id", "", "this node's cluster ID (required with -cluster)")
 		peersFlag    = fs.String("peers", "", "comma-separated fleet as id=http://host:port, self included (required with -cluster)")
 		coordsFlag   = fs.String("coordinators", "", "comma-separated coordinator node IDs (required with -cluster)")
-		clusterTick  = fs.Duration("cluster-heartbeat", 150*time.Millisecond, "ledger replication tick: leader heartbeat interval")
-		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "per-shard execution bound; past it the lease expires and the shard requeues")
+		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "per-shard execution bound; past it the shard moves to the next worker")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -245,10 +242,8 @@ func run(ctx context.Context, args []string) error {
 			nodeID:       *nodeID,
 			peers:        *peersFlag,
 			coordinators: *coordsFlag,
-			heartbeat:    *clusterTick,
 			leaseTimeout: *leaseTimeout,
 			parallelism:  *parallelism,
-			dataDir:      *dataDir,
 		})
 		if err != nil {
 			return err
@@ -260,8 +255,8 @@ func run(ctx context.Context, args []string) error {
 		}
 		if cluster.Role(*clusterRole) == cluster.RoleCoordinator {
 			// Coordinators route local jobs through the fleet: peer-cache
-			// read-through first, then sharded cluster execution, falling
-			// back to the ordinary local path when not applicable.
+			// read-through first, then the key owner's sharded dispatch,
+			// falling back to the ordinary local path when not applicable.
 			opts.Remote = node
 		}
 	}

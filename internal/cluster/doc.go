@@ -1,46 +1,37 @@
 // Package cluster distributes conserve across a fleet: coordinators
-// split a request's trial range into index-contiguous shards, dispatch
-// them to workers over HTTP, and merge the results into the same
-// canonical Response a single process would have produced.
+// split a request's trial range into index-contiguous shards, run them
+// on workers over HTTP, and merge the results into the same canonical
+// Response a single process would have produced.
 //
-// # Replication contract
+// # Ownership
 //
-// Every node — coordinators and workers alike — is a replica of one
-// job ledger: a quorum-replicated log in the Raft mold (terms, votes,
-// append with a prev-index/term match check, majority commit), with
-// coordinators as the preferred election candidates (workers campaign
-// only after a long fallback silence, closing the liveness hole where
-// every up-to-date coordinator is dead). A record is durable once a
-// majority of the fleet holds it, and every replica applies committed
-// records in the same order through a deterministic state machine, so
-// all nodes converge on identical job states. Terms, votes and log
-// entries persist through the internal/durable journal (CRC-framed,
-// fsync'd, valid-prefix replay), so a restarted node rejoins with its
-// promises intact.
+// Coordinators hold no shared state. Each request key is owned by one
+// coordinator, chosen by consistent hashing over the coordinator set,
+// and only the owner dispatches it. A coordinator that is not the owner
+// forwards the normalized request to the owner's POST /run; the owner's
+// Runner joins concurrent duplicates and serves late ones from its
+// cache, which makes a key run once fleet-wide. When the forward fails
+// (dead owner, 429, 503) the coordinator dispatches the job itself.
 //
-// # Lease contract
+// # Dispatch
 //
-// A shard's lifecycle is pending → leased → done, every transition a
-// replicated record. The leader leases a shard to one worker and holds
-// the execution connection open; a connection error or lease timeout
-// proposes a requeue (leased → pending) and the shard rotates to the
-// next worker in ring order. A new leader requeues every lease it
-// inherits — the deposed leader's dispatchers are gone. Transitions
-// are state-guarded and first-wins (a duplicate completion or stale
-// requeue applies as a no-op), so crashes and races never lose or
-// double-count a shard, and exactly one decision commits per key.
+// The owner plans the shards with PlanShards and runs shard i on the
+// worker-ring owner of "key#i" over /cluster/execute, bounded by the
+// lease timeout. A failed execution moves the shard to the next worker
+// in ring order (a requeue); after every worker has failed it once, the
+// shard pauses and starts another pass, until the request's context
+// ends. The merged bytes go through the fleet cache, whose owners are
+// the key's two successors on the ring of all peers.
 //
 // # Byte identity
 //
 // Workers execute shards through service.ExecuteShard, which derives
-// each trial's seed from (request seed, trial index) alone; the merge
-// validates that the shards tile [0, trials) exactly and reassembles
-// the response precisely as the single-process path does. Shard
-// results ride inside the replicated log, so any coordinator — not
-// just the leader that dispatched them — can merge and answer the
-// client, including after a failover.
+// each trial's seed from (request seed, trial index) alone, so a shard
+// run twice, on any node, gives the same bytes. service.MergeShards
+// checks that the shards tile [0, trials) exactly and reassembles the
+// response as the single-process path does. This is what lets a
+// coordinator simply recompute whatever a crash interrupted.
 //
-// The DESIGN.md "Cluster" section documents the ledger record format,
-// the lease/requeue state machine, quorum rules, and the byte-identity
-// argument in full.
+// The DESIGN.md "Cluster" section documents placement, retry, the owner
+// forward, the fleet cache and the byte-identity argument in full.
 package cluster

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"time"
 
 	"plurality/internal/service"
 )
@@ -26,15 +25,10 @@ func defaultHTTPClient() HTTPDoer {
 // carry full trial arrays, so this is far above the client-facing 1MB.
 const maxClusterBody = 64 << 20
 
-// httpTransport carries replica RPCs over the peers' /cluster/vote and
-// /cluster/append endpoints.
-type httpTransport struct {
-	peers  map[string]string
-	client HTTPDoer
-}
-
-func (t *httpTransport) roundTrip(ctx context.Context, peer, path string, in, out any) error {
-	addr, ok := t.peers[peer]
+// roundTrip POSTs in as JSON to peer's path and decodes a 200 answer
+// into out; any other status is an error.
+func (n *Node) roundTrip(ctx context.Context, peer, path string, in, out any) error {
+	addr, ok := n.cfg.Peers[peer]
 	if !ok {
 		return fmt.Errorf("cluster: unknown peer %q", peer)
 	}
@@ -47,7 +41,7 @@ func (t *httpTransport) roundTrip(ctx context.Context, peer, path string, in, ou
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.client.Do(req)
+	resp, err := n.client.Do(req)
 	if err != nil {
 		return err
 	}
@@ -56,55 +50,51 @@ func (t *httpTransport) roundTrip(ctx context.Context, peer, path string, in, ou
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		return fmt.Errorf("cluster: %s %s: %s: %s", peer, path, resp.Status, bytes.TrimSpace(msg))
 	}
-	if out == nil {
-		return nil
-	}
 	return json.NewDecoder(io.LimitReader(resp.Body, maxClusterBody)).Decode(out)
-}
-
-func (t *httpTransport) Vote(ctx context.Context, peer string, req VoteRequest) (VoteResponse, error) {
-	var resp VoteResponse
-	err := t.roundTrip(ctx, peer, "/cluster/vote", req, &resp)
-	return resp, err
-}
-
-func (t *httpTransport) Append(ctx context.Context, peer string, req AppendRequest) (AppendResponse, error) {
-	var resp AppendResponse
-	err := t.roundTrip(ctx, peer, "/cluster/append", req, &resp)
-	return resp, err
 }
 
 // executeRequest is the worker shard-execution RPC body.
 type executeRequest struct {
-	Request json.RawMessage `json:"request"`
+	Request service.Request `json:"request"`
 	Lo      int             `json:"lo"`
 	Hi      int             `json:"hi"`
 }
 
-// client reaches a peer for the node's own RPCs.
-func (n *Node) client() *httpTransport {
-	t, _ := n.replica.cfg.Transport.(*httpTransport)
-	return t
+// decodeExecute parses a /cluster/execute body and checks it the way
+// service.ExecuteShard will: the request normalizes and validates, it
+// is not analytic-tier, and 0 ≤ lo < hi ≤ trials.
+func decodeExecute(r io.Reader) (service.Request, ShardRange, error) {
+	var req executeRequest
+	if err := json.NewDecoder(io.LimitReader(r, maxClusterBody)).Decode(&req); err != nil {
+		return service.Request{}, ShardRange{}, err
+	}
+	q := req.Request.Normalize()
+	if err := q.Validate(); err != nil {
+		return service.Request{}, ShardRange{}, err
+	}
+	if q.Tier == service.TierAnalytic {
+		return service.Request{}, ShardRange{}, fmt.Errorf("cluster: analytic-tier requests have no trial shards")
+	}
+	if req.Lo < 0 || req.Hi > q.Trials || req.Lo >= req.Hi {
+		return service.Request{}, ShardRange{}, fmt.Errorf("cluster: shard [%d, %d) out of range for %d trials", req.Lo, req.Hi, q.Trials)
+	}
+	return q, ShardRange{Lo: req.Lo, Hi: req.Hi}, nil
 }
 
-// executeOn runs one shard synchronously on worker: the connection is
-// the lease — a dropped or timed-out call requeues the shard.
-func (n *Node) executeOn(ctx context.Context, worker string, reqJSON json.RawMessage, rng ShardRange) (json.RawMessage, error) {
-	var out json.RawMessage
-	err := n.client().roundTrip(ctx, worker, "/cluster/execute",
-		executeRequest{Request: reqJSON, Lo: rng.Lo, Hi: rng.Hi}, &out)
-	return out, err
-}
-
-// forwardPropose routes a ledger record to the current leader, which
-// proposes it and waits for commit before answering 200.
-func (n *Node) forwardPropose(ctx context.Context, leader string, rec LedgerRecord) error {
-	return n.client().roundTrip(ctx, leader, "/cluster/propose", rec, nil)
+// executeOn runs one shard synchronously on worker, bounded by the
+// lease timeout.
+func (n *Node) executeOn(ctx context.Context, worker string, q service.Request, s ShardRange) (*service.ShardResult, error) {
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.LeaseTimeout)
+	defer cancel()
+	var out service.ShardResult
+	if err := n.roundTrip(ctx, worker, "/cluster/execute", executeRequest{Request: q, Lo: s.Lo, Hi: s.Hi}, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
 }
 
 func (n *Node) cacheGetRemote(ctx context.Context, owner, key string) ([]byte, bool) {
-	t := n.client()
-	addr, ok := t.peers[owner]
+	addr, ok := n.cfg.Peers[owner]
 	if !ok {
 		return nil, false
 	}
@@ -112,7 +102,7 @@ func (n *Node) cacheGetRemote(ctx context.Context, owner, key string) ([]byte, b
 	if err != nil {
 		return nil, false
 	}
-	resp, err := t.client.Do(req)
+	resp, err := n.client.Do(req)
 	if err != nil {
 		return nil, false
 	}
@@ -128,8 +118,7 @@ func (n *Node) cacheGetRemote(ctx context.Context, owner, key string) ([]byte, b
 }
 
 func (n *Node) cachePutRemote(ctx context.Context, owner, key string, body []byte) {
-	t := n.client()
-	addr, ok := t.peers[owner]
+	addr, ok := n.cfg.Peers[owner]
 	if !ok {
 		return
 	}
@@ -137,7 +126,7 @@ func (n *Node) cachePutRemote(ctx context.Context, owner, key string, body []byt
 	if err != nil {
 		return
 	}
-	resp, err := t.client.Do(req)
+	resp, err := n.client.Do(req)
 	if err != nil {
 		return
 	}
@@ -147,62 +136,27 @@ func (n *Node) cachePutRemote(ctx context.Context, owner, key string, body []byt
 // Handler returns the node's /cluster/* HTTP surface, mounted into the
 // conserve server via service.Extra.Routes:
 //
-//	POST /cluster/vote        replica vote RPC
-//	POST /cluster/append      replica append/heartbeat RPC
-//	POST /cluster/propose     leader-only: commit a ledger record
 //	POST /cluster/execute     run one shard here (workers)
 //	GET  /cluster/cache/{key} read this node's peer-cache slice
 //	PUT  /cluster/cache/{key} write this node's peer-cache slice
-//	GET  /cluster/status      replica status snapshot
-//	GET  /cluster/jobs        applied ledger job views
+//
+// A coordinator forwards a job it does not own to the owner's ordinary
+// POST /run, which needs no route here.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /cluster/vote", func(w http.ResponseWriter, r *http.Request) {
-		var req VoteRequest
-		if !decodeClusterJSON(w, r, &req) {
-			return
-		}
-		writeClusterJSON(w, n.replica.HandleVote(req))
-	})
-	mux.HandleFunc("POST /cluster/append", func(w http.ResponseWriter, r *http.Request) {
-		var req AppendRequest
-		if !decodeClusterJSON(w, r, &req) {
-			return
-		}
-		writeClusterJSON(w, n.replica.HandleAppend(req))
-	})
-	mux.HandleFunc("POST /cluster/propose", func(w http.ResponseWriter, r *http.Request) {
-		var rec LedgerRecord
-		if !decodeClusterJSON(w, r, &rec) {
-			return
-		}
-		idx, term, err := n.replica.Propose(rec)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("not leader (leader=%s)", n.replica.Leader()), http.StatusConflict)
-			return
-		}
-		if err := n.replica.WaitCommitted(r.Context().Done(), idx, term); err != nil {
-			http.Error(w, err.Error(), http.StatusConflict)
-			return
-		}
-		writeClusterJSON(w, map[string]uint64{"index": idx, "term": term})
-	})
 	mux.HandleFunc("POST /cluster/execute", func(w http.ResponseWriter, r *http.Request) {
-		var req executeRequest
-		if !decodeClusterJSON(w, r, &req) {
-			return
-		}
-		var q service.Request
-		if err := json.Unmarshal(req.Request, &q); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		res, err := n.ExecuteShardLocal(r.Context(), q, req.Lo, req.Hi)
+		q, s, err := decodeExecute(r.Body)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeClusterJSON(w, res)
+		res, err := n.ExecuteShardLocal(r.Context(), q, s.Lo, s.Hi)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(res)
 	})
 	mux.HandleFunc("GET /cluster/cache/{key}", func(w http.ResponseWriter, r *http.Request) {
 		body, ok := n.cacheGetLocal(r.PathValue("key"))
@@ -222,46 +176,5 @@ func (n *Node) Handler() http.Handler {
 		n.cacheSetLocal(r.PathValue("key"), body)
 		w.WriteHeader(http.StatusNoContent)
 	})
-	mux.HandleFunc("GET /cluster/status", func(w http.ResponseWriter, r *http.Request) {
-		st := n.replica.Status()
-		writeClusterJSON(w, struct {
-			Status
-			Role Role `json:"role"`
-		}{Status: st, Role: n.cfg.Role})
-	})
-	mux.HandleFunc("GET /cluster/jobs", func(w http.ResponseWriter, r *http.Request) {
-		writeClusterJSON(w, n.ledger.Jobs())
-	})
 	return mux
-}
-
-func decodeClusterJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := json.NewDecoder(io.LimitReader(r.Body, maxClusterBody)).Decode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return false
-	}
-	return true
-}
-
-func writeClusterJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(v)
-}
-
-// WaitLeader blocks until some coordinator leads (as seen from this
-// replica) or the timeout lapses; a convenience for tests and startup.
-func (n *Node) WaitLeader(timeout time.Duration) (string, bool) {
-	deadline := time.NewTimer(timeout)
-	defer deadline.Stop()
-	for {
-		if l := n.replica.Leader(); l != "" {
-			return l, true
-		}
-		select {
-		case <-deadline.C:
-			return "", false
-		case <-n.replica.LeaderChanged():
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
 }

@@ -2,8 +2,6 @@ package cluster
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -13,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"plurality/internal/durable"
 	"plurality/internal/service"
 )
 
@@ -21,15 +18,18 @@ import (
 type Role string
 
 const (
-	// RoleCoordinator nodes accept client requests, may lead the
-	// ledger, plan and dispatch shards, and merge results.
+	// RoleCoordinator nodes accept client requests, own a consistent-hash
+	// slice of the request keys, dispatch the shards of the jobs they
+	// own, and merge the results.
 	RoleCoordinator Role = "coordinator"
-	// RoleWorker nodes replicate the ledger, vote, execute shards, and
-	// host their slice of the peer cache. They lead only as a last
-	// resort, when no coordinator can win an election (see
-	// fallbackCandidateSlack).
+	// RoleWorker nodes execute shards and host their slice of the fleet
+	// cache.
 	RoleWorker Role = "worker"
 )
+
+// retryPause is how long a shard waits after every worker has failed it
+// once before the next pass over the workers.
+const retryPause = 250 * time.Millisecond
 
 // NodeConfig configures one cluster node.
 type NodeConfig struct {
@@ -39,55 +39,48 @@ type NodeConfig struct {
 	Role Role
 	// Peers maps every node ID (self included) to its base URL
 	// (e.g. "http://127.0.0.1:8081"). The set must agree fleet-wide:
-	// the consistent-hash ring and shard plans derive from it.
+	// the consistent-hash rings and shard plans derive from it.
 	Peers map[string]string
-	// Coordinators lists the coordinator IDs — the election candidates.
+	// Coordinators lists the coordinator IDs; request keys are owned by
+	// consistent hashing over this set.
 	Coordinators []string
 	// Parallelism bounds trial parallelism for shards executed here.
 	Parallelism int
-	// Heartbeat is the replication tick (default 150ms).
-	Heartbeat time.Duration
-	// ElectionTicks is the base election timeout in ticks (default 10).
-	ElectionTicks int
 	// LeaseTimeout bounds one shard execution on a worker; past it the
-	// dispatch cancels and the shard is requeued (default 2m).
+	// dispatch cancels and the shard moves to the next worker (default
+	// 2m).
 	LeaseTimeout time.Duration
-	// Journal and Records persist/recover the replica log (optional).
-	Journal *durable.Journal
-	Records []durable.Record
 	// Client issues intra-cluster HTTP (default: a pooled client).
 	Client HTTPDoer
 	// Logf, when non-nil, receives node lifecycle logs.
 	Logf func(format string, args ...any)
 }
 
-// Node is one member of a conserve cluster: a ledger replica plus the
-// role-dependent machinery — coordinators submit, dispatch, and merge;
-// workers execute shards. Every node hosts a slice of the fleet-wide
-// result cache keyed by the consistent-hash ring. Coordinator nodes
-// implement service.Remote, which is how the local Runner routes jobs
-// through the cluster.
+// Node is one member of a conserve cluster. Coordinators implement
+// service.Remote, which is how the local Runner routes jobs through the
+// fleet: a job is dispatched by its key's owning coordinator, which
+// runs the shards on workers and merges them. Every node hosts a slice
+// of the fleet-wide result cache.
 type Node struct {
 	cfg     NodeConfig
-	ledger  *Ledger
-	replica *Replica
-	ring    *Ring
-	workers []string // sorted worker IDs (peers minus coordinators)
+	client  HTTPDoer
+	ring    *Ring // every peer: fleet-cache placement
+	owners  *Ring // coordinators: job ownership
+	workers *Ring // workers: shard placement
 
-	mu       sync.Mutex
-	inflight map[string]bool // shard dispatches owned by this process
-	attempts map[string]int  // per-shard dispatch count, rotates workers
-	cache    map[string][]byte
+	mu    sync.Mutex
+	cache map[string][]byte
 
-	peerCacheHits atomic.Uint64
+	jobs            atomic.Uint64
+	shardExecutions atomic.Uint64
+	requeues        atomic.Uint64
+	peerCacheHits   atomic.Uint64
 
 	closeOnce sync.Once
 	closed    chan struct{}
-	wg        sync.WaitGroup
 }
 
-// NewNode builds the node and starts its replica (and, on
-// coordinators, the dispatch loop).
+// NewNode validates the configuration and builds the node's rings.
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.ID == "" || cfg.Peers[cfg.ID] == "" {
 		return nil, fmt.Errorf("cluster: node ID %q missing from peer set", cfg.ID)
@@ -104,14 +97,6 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	n := &Node{
-		cfg:      cfg,
-		ledger:   NewLedger(),
-		inflight: make(map[string]bool),
-		attempts: make(map[string]int),
-		cache:    make(map[string][]byte),
-		closed:   make(chan struct{}),
-	}
 	isCoord := make(map[string]bool, len(cfg.Coordinators))
 	for _, c := range cfg.Coordinators {
 		if cfg.Peers[c] == "" {
@@ -119,220 +104,87 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 		isCoord[c] = true
 	}
-	ring := NewRing(peerIDs(cfg.Peers))
-	n.ring = ring
-	for _, p := range ring.Peers() {
+	peers := slices.Sorted(maps.Keys(cfg.Peers))
+	var workers []string
+	for _, p := range peers {
 		if !isCoord[p] {
-			n.workers = append(n.workers, p)
+			workers = append(workers, p)
 		}
 	}
-	transport := cfg.Client
-	if transport == nil {
-		transport = defaultHTTPClient()
+	n := &Node{
+		cfg:     cfg,
+		client:  cfg.Client,
+		ring:    NewRing(peers),
+		owners:  NewRing(cfg.Coordinators),
+		workers: NewRing(workers),
+		cache:   make(map[string][]byte),
+		closed:  make(chan struct{}),
 	}
-	n.replica = NewReplica(ReplicaConfig{
-		ID:            cfg.ID,
-		Peers:         ring.Peers(),
-		Candidates:    cfg.Coordinators,
-		Transport:     &httpTransport{peers: cfg.Peers, client: transport},
-		Journal:       cfg.Journal,
-		Records:       cfg.Records,
-		Heartbeat:     cfg.Heartbeat,
-		ElectionTicks: cfg.ElectionTicks,
-		Apply:         n.ledger.Apply,
-		OnLeader:      n.requeueStaleLeases,
-		Logf:          cfg.Logf,
-	})
-	// Every node runs the dispatch loop — it only acts while this
-	// replica leads, and a worker can lead as the election fallback.
-	n.wg.Add(1)
-	go n.dispatchLoop()
+	if n.client == nil {
+		n.client = defaultHTTPClient()
+	}
 	return n, nil
 }
 
-// peerIDs extracts the sorted ID set.
-func peerIDs(peers map[string]string) []string {
-	return slices.Sorted(maps.Keys(peers))
-}
-
-// Close stops the node's loops and its replica. Idempotent.
+// Close ends every in-flight dispatch at its next retry pause.
+// Idempotent.
 func (n *Node) Close() {
-	n.closeOnce.Do(func() {
-		close(n.closed)
-		n.replica.Close()
-		n.wg.Wait()
-	})
-}
-
-// Ledger exposes the applied ledger (for tests and /cluster/jobs).
-func (n *Node) Ledger() *Ledger { return n.ledger }
-
-// Replica exposes the underlying replica (for tests and status).
-func (n *Node) Replica() *Replica { return n.replica }
-
-// requeueStaleLeases runs when this node wins an election: every lease
-// in the applied ledger was granted by a deposed leader whose dispatch
-// goroutines are gone (or dead with its process), so the shards are
-// returned to pending for this leader to re-dispatch. Requeue is
-// state-guarded, so a shard that completes concurrently is untouched.
-// The scan waits for the election's barrier entry to apply locally
-// first — that guarantees every lease inherited from earlier terms is
-// visible to it.
-func (n *Node) requeueStaleLeases(term, barrier uint64) {
-	if n.ledger.WaitApplied(n.closed, barrier) != nil {
-		return
-	}
-	for _, job := range n.ledger.Jobs() {
-		if job.Decided {
-			continue
-		}
-		for i, s := range job.Shards {
-			if s.Status != ShardLeased {
-				continue
-			}
-			idx, t, err := n.replica.Propose(LedgerRecord{
-				Op: OpRequeue, Key: job.Key, Shard: i, Reason: "leader-change",
-			})
-			if err != nil {
-				return // lost leadership already
-			}
-			_ = n.replica.WaitCommitted(n.closed, idx, t)
-		}
-	}
-}
-
-// dispatchLoop scans the applied ledger whenever it changes and, while
-// this node leads, leases pending shards to workers and drives their
-// execution.
-func (n *Node) dispatchLoop() {
-	defer n.wg.Done()
-	for {
-		if n.replica.IsLeader() {
-			n.scanAndDispatch()
-		}
-		select {
-		case <-n.closed:
-			return
-		case <-n.ledger.changed():
-		case <-n.replica.LeaderChanged():
-		case <-time.After(n.replica.cfg.Heartbeat):
-			// Fallback tick: retry after transient dispatch failures.
-		}
-	}
-}
-
-func (n *Node) scanAndDispatch() {
-	for _, job := range n.ledger.Jobs() {
-		if job.Decided {
-			continue
-		}
-		for i, s := range job.Shards {
-			if s.Status != ShardPending {
-				continue
-			}
-			id := shardID(job.Key, i)
-			n.mu.Lock()
-			busy := n.inflight[id]
-			if !busy {
-				n.inflight[id] = true
-			}
-			n.mu.Unlock()
-			if busy {
-				continue
-			}
-			n.wg.Add(1)
-			go n.dispatchShard(job, i)
-		}
-	}
+	n.closeOnce.Do(func() { close(n.closed) })
 }
 
 func shardID(key string, shard int) string { return fmt.Sprintf("%s#%d", key, shard) }
 
-// dispatchShard drives one shard: lease it through the ledger, execute
-// it synchronously on the chosen worker, and record the result — or a
-// requeue, if the worker failed or timed out. Every transition goes
-// through the replicated log, so a coordinator crash at any point
-// leaves a state a new leader recovers from (lease → requeue).
-func (n *Node) dispatchShard(job JobView, shard int) {
-	defer n.wg.Done()
-	id := shardID(job.Key, shard)
-	defer func() {
-		n.mu.Lock()
-		delete(n.inflight, id)
-		n.mu.Unlock()
-	}()
-
-	n.mu.Lock()
-	attempt := n.attempts[id]
-	n.attempts[id]++
-	n.mu.Unlock()
-	worker := n.workerFor(id, attempt)
-	if worker == "" {
-		return
-	}
-
-	idx, term, err := n.replica.Propose(LedgerRecord{
-		Op: OpLease, Key: job.Key, Shard: shard, Worker: worker,
-	})
-	if err != nil || n.replica.WaitCommitted(n.closed, idx, term) != nil {
-		return // lost leadership; the next leader requeues
-	}
-	// Commit and local apply are asynchronous: wait for the lease to
-	// reach this node's ledger before reading its view of the shard.
-	if n.ledger.WaitApplied(n.closed, idx) != nil {
-		return
-	}
-	jv, ok := n.ledger.Job(job.Key)
-	if !ok || jv.Shards[shard].Status != ShardLeased || jv.Shards[shard].LeaseIndex != idx {
-		return // lease lost the race (shard already done or re-leased)
-	}
-
-	ctx, cancel := context.WithTimeout(context.Background(), n.cfg.LeaseTimeout)
-	defer cancel()
-	result, execErr := n.executeOn(ctx, worker, jv.Request, jv.Shards[shard].Range)
-	if execErr != nil {
-		n.cfg.Logf("cluster: shard %s on %s failed: %v", id, worker, execErr)
-		if idx, term, err = n.replica.Propose(LedgerRecord{
-			Op: OpRequeue, Key: job.Key, Shard: shard, Reason: execErr.Error(),
-		}); err == nil {
-			_ = n.replica.WaitCommitted(n.closed, idx, term)
-		}
-		return
-	}
-	if idx, term, err = n.replica.Propose(LedgerRecord{
-		Op: OpShardDone, Key: job.Key, Shard: shard, Worker: worker, Result: result,
-	}); err == nil {
-		_ = n.replica.WaitCommitted(n.closed, idx, term)
-	}
+// ShardRange is one index-contiguous trial range [Lo, Hi).
+type ShardRange struct {
+	Lo int `json:"lo"`
+	Hi int `json:"hi"`
 }
 
-// workerFor picks the executing worker for a shard: consistent-hash
-// placement for attempt 0, then rotation through the ring order on
-// each requeue so a dead worker cannot pin its shards forever.
-func (n *Node) workerFor(id string, attempt int) string {
-	if len(n.workers) == 0 {
-		return ""
+// PlanShards splits trials into at most parts index-contiguous ranges
+// of near-equal size (the first trials%parts ranges get one extra).
+// The plan depends only on the trial count and the worker count, so
+// every coordinator tiles a request the same way.
+func PlanShards(trials, parts int) []ShardRange {
+	if parts < 1 {
+		parts = 1
 	}
-	ring := NewRing(n.workers)
-	owners := ring.Owners(id, len(n.workers))
-	return owners[attempt%len(owners)]
+	if parts > trials {
+		parts = trials
+	}
+	base, extra := trials/parts, trials%parts
+	var out []ShardRange
+	lo := 0
+	for i := 0; i < parts; i++ {
+		size := base
+		if i < extra {
+			size++
+		}
+		out = append(out, ShardRange{Lo: lo, Hi: lo + size})
+		lo += size
+	}
+	return out
 }
 
 // ExecuteShardLocal runs one shard on this node via the deterministic
 // service shard path. The result is byte-identical to the same trial
 // range of a single-process run by the (seed, trial) stream contract.
 func (n *Node) ExecuteShardLocal(ctx context.Context, q service.Request, lo, hi int) (*service.ShardResult, error) {
-	return service.ExecuteShard(ctx, q, n.cfg.Parallelism, lo, hi)
+	res, err := service.ExecuteShard(ctx, q, n.cfg.Parallelism, lo, hi)
+	if err == nil {
+		n.shardExecutions.Add(1)
+	}
+	return res, err
 }
 
-// Run implements service.Remote for coordinator nodes: submit the job
-// to the ledger (through whichever coordinator currently leads), wait
-// for every shard to commit as done, merge locally, and record the
-// decision. It survives leader failover mid-job because completion is
-// observed on the local applied ledger — shard results travel inside
-// the replicated log, not in any leader's memory.
+// Run implements service.Remote for coordinator nodes. The key's owning
+// coordinator dispatches the job; any other coordinator forwards the
+// request to the owner's POST /run, whose Runner joins concurrent
+// duplicates and serves late ones from its cache, so a key runs once
+// fleet-wide. If the forward fails for any reason (dead owner, 429,
+// 503), this coordinator dispatches the job itself: the shards are pure
+// functions of the request, so the bytes are the same.
 func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response, error) {
-	if n.cfg.Role != RoleCoordinator || len(n.workers) == 0 {
+	if n.cfg.Role != RoleCoordinator || len(n.workers.Peers()) == 0 {
 		return nil, service.ErrNotClustered
 	}
 	q := req.Normalize()
@@ -343,30 +195,40 @@ func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response,
 		return nil, service.ErrNotClustered
 	}
 	key := q.Key()
-	reqJSON, err := json.Marshal(q)
-	if err != nil {
-		return nil, err
-	}
-	submit := LedgerRecord{
-		Op:      OpSubmit,
-		Key:     key,
-		Request: reqJSON,
-		Shards:  PlanShards(q.Trials, len(n.workers)),
-	}
-	if err := n.proposeRouted(ctx, submit); err != nil {
-		return nil, fmt.Errorf("cluster: submit %s: %w", key, err)
-	}
-	jv, err := n.ledger.WaitAllDone(ctx.Done(), key)
-	if err != nil {
-		return nil, err
-	}
-	shards := make([]*service.ShardResult, 0, len(jv.Shards))
-	for i, s := range jv.Shards {
-		var sr service.ShardResult
-		if err := json.Unmarshal(s.Result, &sr); err != nil {
-			return nil, fmt.Errorf("cluster: shard %d result: %w", i, err)
+	if owner := n.owners.Owner(key); owner != n.cfg.ID {
+		var resp service.Response
+		err := n.roundTrip(ctx, owner, "/run", q, &resp)
+		if err == nil {
+			return &resp, nil
 		}
-		shards = append(shards, &sr)
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		n.cfg.Logf("cluster: forward %s to owner %s failed: %v; dispatching here", key, owner, err)
+	}
+	return n.dispatch(ctx, q, key)
+}
+
+// dispatch runs every shard of q on the workers, merges the results and
+// writes the canonical bytes through the fleet cache.
+func (n *Node) dispatch(ctx context.Context, q service.Request, key string) (*service.Response, error) {
+	n.jobs.Add(1)
+	plan := PlanShards(q.Trials, len(n.workers.Peers()))
+	shards := make([]*service.ShardResult, len(plan))
+	errs := make([]error, len(plan))
+	var wg sync.WaitGroup
+	for i, s := range plan {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			shards[i], errs[i] = n.runShard(ctx, q, shardID(key, i), s)
+		}()
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("cluster: shard %d of %s: %w", i, key, err)
+		}
 	}
 	resp, err := service.MergeShards(q, shards)
 	if err != nil {
@@ -376,18 +238,38 @@ func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response,
 	if err != nil {
 		return nil, err
 	}
-	sum := sha256.Sum256(body)
-	decide := LedgerRecord{Op: OpDecide, Key: key, MergedSHA: hex.EncodeToString(sum[:])}
-	if err := n.proposeRouted(ctx, decide); err != nil {
-		return nil, fmt.Errorf("cluster: decide %s: %w", key, err)
-	}
-	// The decision committed; wait for the local apply so callers that
-	// read this node's ledger right after Run observe it.
-	if _, err := n.ledger.WaitDecided(ctx.Done(), key); err != nil {
-		return nil, err
-	}
 	n.cachePut(ctx, key, body)
 	return resp, nil
+}
+
+// runShard executes one shard, first on the ring owner of id, then on
+// each next worker in ring order after a failure (a requeue). After a
+// full pass of failures it pauses for retryPause and starts over, until
+// ctx ends.
+func (n *Node) runShard(ctx context.Context, q service.Request, id string, s ShardRange) (*service.ShardResult, error) {
+	order := n.workers.Owners(id, len(n.workers.Peers()))
+	for attempt := 0; ; attempt++ {
+		worker := order[attempt%len(order)]
+		res, err := n.executeOn(ctx, worker, q, s)
+		if err == nil {
+			return res, nil
+		}
+		if ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		n.requeues.Add(1)
+		n.cfg.Logf("cluster: shard %s on %s failed: %v", id, worker, err)
+		if (attempt+1)%len(order) != 0 {
+			continue
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-n.closed:
+			return nil, fmt.Errorf("cluster: node closing (shard %s: %w)", id, err)
+		case <-time.After(retryPause):
+		}
+	}
 }
 
 // Lookup implements service.Remote's read-through against the
@@ -413,39 +295,6 @@ func (n *Node) Lookup(ctx context.Context, key string) (*service.Response, bool)
 		return &resp, true
 	}
 	return nil, false
-}
-
-// proposeRouted lands a record in the replicated log from any node:
-// propose directly while leading, otherwise forward to the leader this
-// replica currently believes in, retrying across elections until the
-// record commits or ctx ends. Safe to retry: every ledger op is
-// idempotent under re-application (first-wins / state-guarded).
-func (n *Node) proposeRouted(ctx context.Context, rec LedgerRecord) error {
-	var lastErr error = ErrNotLeader
-	for {
-		if n.replica.IsLeader() {
-			idx, term, err := n.replica.Propose(rec)
-			if err == nil {
-				if err = n.replica.WaitCommitted(ctx.Done(), idx, term); err == nil {
-					return nil
-				}
-			}
-			lastErr = err
-		} else if leader := n.replica.Leader(); leader != "" && leader != n.cfg.ID {
-			if err := n.forwardPropose(ctx, leader, rec); err == nil {
-				return nil
-			} else {
-				lastErr = err
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("%w (last: %v)", ctx.Err(), lastErr)
-		case <-n.closed:
-			return fmt.Errorf("cluster: node closing (last: %v)", lastErr)
-		case <-time.After(n.replica.cfg.Heartbeat):
-		}
-	}
 }
 
 // cachePut writes canonical response bytes to the key's ring owners
@@ -474,22 +323,24 @@ func (n *Node) cacheSetLocal(key string, body []byte) {
 	n.cache[key] = body
 }
 
-// Metrics is the node's metric snapshot.
+// NodeMetrics is the node's metric snapshot.
 type NodeMetrics struct {
-	Leader        bool
-	Term          uint64
+	// Jobs counts the jobs this coordinator dispatched.
+	Jobs uint64
+	// ShardExecutions counts the shards this node ran.
+	ShardExecutions uint64
+	// Requeues counts failed shard executions moved to the next worker.
 	Requeues      uint64
 	PeerCacheHits uint64
 }
 
 // Metrics returns current cluster counters.
 func (n *Node) Metrics() NodeMetrics {
-	st := n.replica.Status()
 	return NodeMetrics{
-		Leader:        st.IsLeader,
-		Term:          st.Term,
-		Requeues:      n.ledger.Requeues(),
-		PeerCacheHits: n.peerCacheHits.Load(),
+		Jobs:            n.jobs.Load(),
+		ShardExecutions: n.shardExecutions.Load(),
+		Requeues:        n.requeues.Load(),
+		PeerCacheHits:   n.peerCacheHits.Load(),
 	}
 }
 
@@ -497,15 +348,21 @@ func (n *Node) Metrics() NodeMetrics {
 // /metrics via service.Extra.
 func (n *Node) WriteMetrics(w io.Writer) {
 	m := n.Metrics()
+	// There is no leader any more; the gauge stays because perfbench's
+	// fleet-readiness poll waits for conserve_cluster_leader 1 on the
+	// coordinator.
 	leader := 0
-	if m.Leader {
+	if n.cfg.Role == RoleCoordinator {
 		leader = 1
 	}
-	fmt.Fprintf(w, "# HELP conserve_cluster_leader Whether this node currently leads the job ledger (0/1).\n")
+	fmt.Fprintf(w, "# HELP conserve_cluster_leader 1 on every coordinator (each dispatches the keys it owns), 0 on workers.\n")
 	fmt.Fprintf(w, "conserve_cluster_leader %d\n", leader)
-	fmt.Fprintf(w, "conserve_cluster_term %d\n", m.Term)
-	fmt.Fprintf(w, "# HELP conserve_shard_requeues_total Shard leases expired or revoked and returned to pending.\n")
+	fmt.Fprintf(w, "# HELP conserve_cluster_jobs_total Jobs this coordinator dispatched to the workers.\n")
+	fmt.Fprintf(w, "conserve_cluster_jobs_total %d\n", m.Jobs)
+	fmt.Fprintf(w, "# HELP conserve_cluster_shard_executions_total Shards this node executed.\n")
+	fmt.Fprintf(w, "conserve_cluster_shard_executions_total %d\n", m.ShardExecutions)
+	fmt.Fprintf(w, "# HELP conserve_shard_requeues_total Failed shard executions moved to the next worker.\n")
 	fmt.Fprintf(w, "conserve_shard_requeues_total %d\n", m.Requeues)
-	fmt.Fprintf(w, "# HELP conserve_peer_cache_hits_total Requests served from another replica's slice of the fleet cache.\n")
+	fmt.Fprintf(w, "# HELP conserve_peer_cache_hits_total Requests served from another node's slice of the fleet cache.\n")
 	fmt.Fprintf(w, "conserve_peer_cache_hits_total %d\n", m.PeerCacheHits)
 }

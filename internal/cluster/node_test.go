@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -38,20 +39,30 @@ func (l *lateHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 type testCluster struct {
 	nodes    map[string]*Node
+	runners  map[string]*service.Runner
 	servers  map[string]*httptest.Server
 	handlers map[string]*lateHandler
 }
 
+var (
+	testCoordinators = []string{"c1", "c2"}
+	testWorkers      = []string{"w1", "w2", "w3"}
+)
+
 // newTestCluster stands up an in-process fleet over loopback HTTP:
-// 2 coordinators (c1, c2) + 3 workers (w1..w3), no journals.
+// 2 coordinators (c1, c2) + 3 workers (w1..w3). Coordinators serve the
+// production wiring — a Runner routing through the node plus the
+// node's /cluster/ routes — so a forward to the owner's POST /run goes
+// through the owner's Runner; workers serve the /cluster/ routes.
 func newTestCluster(t *testing.T) *testCluster {
 	t.Helper()
-	ids := []string{"c1", "c2", "w1", "w2", "w3"}
 	tc := &testCluster{
 		nodes:    make(map[string]*Node),
+		runners:  make(map[string]*service.Runner),
 		servers:  make(map[string]*httptest.Server),
 		handlers: make(map[string]*lateHandler),
 	}
+	ids := append(slices.Clone(testCoordinators), testWorkers...)
 	peers := make(map[string]string)
 	for _, id := range ids {
 		lh := &lateHandler{}
@@ -60,36 +71,42 @@ func newTestCluster(t *testing.T) *testCluster {
 		tc.servers[id] = srv
 		peers[id] = srv.URL
 	}
+	t.Cleanup(tc.close)
 	for _, id := range ids {
 		role := RoleWorker
-		if id[0] == 'c' {
+		if slices.Contains(testCoordinators, id) {
 			role = RoleCoordinator
 		}
 		n, err := NewNode(NodeConfig{
-			ID:            id,
-			Role:          role,
-			Peers:         peers,
-			Coordinators:  []string{"c1", "c2"},
-			Parallelism:   2,
-			Heartbeat:     10 * time.Millisecond,
-			ElectionTicks: 4,
-			LeaseTimeout:  30 * time.Second,
-			Logf:          t.Logf,
+			ID:           id,
+			Role:         role,
+			Peers:        peers,
+			Coordinators: testCoordinators,
+			Parallelism:  2,
+			LeaseTimeout: 30 * time.Second,
+			Logf:         t.Logf,
 		})
 		if err != nil {
 			t.Fatalf("node %s: %v", id, err)
 		}
 		tc.nodes[id] = n
-		tc.handlers[id].set(n.Handler())
-	}
-	t.Cleanup(tc.close)
-	if _, ok := tc.nodes["c1"].WaitLeader(10 * time.Second); !ok {
-		t.Fatal("no leader elected")
+		if role == RoleWorker {
+			tc.handlers[id].set(n.Handler())
+			continue
+		}
+		rn := service.NewRunner(service.Options{Remote: n})
+		tc.runners[id] = rn
+		tc.handlers[id].set(service.NewServerWith(rn, service.Extra{
+			Routes: map[string]http.Handler{"/cluster/": n.Handler()},
+		}))
 	}
 	return tc
 }
 
 func (tc *testCluster) close() {
+	for _, rn := range tc.runners {
+		rn.Close()
+	}
 	for _, n := range tc.nodes {
 		n.Close()
 	}
@@ -98,33 +115,73 @@ func (tc *testCluster) close() {
 	}
 }
 
-// follower returns a coordinator that does not currently lead —
-// exercising the submit-forwarding path.
-func (tc *testCluster) follower() *Node {
-	if tc.nodes["c1"].Replica().IsLeader() {
+// owner is the coordinator that dispatches key's job.
+func (tc *testCluster) owner(key string) *Node {
+	return tc.nodes[tc.nodes["c1"].owners.Owner(key)]
+}
+
+// follower is the coordinator that does not own key, so a Run through
+// it exercises the forward to the owner.
+func (tc *testCluster) follower(key string) *Node {
+	if tc.owner(key) == tc.nodes["c1"] {
 		return tc.nodes["c2"]
 	}
 	return tc.nodes["c1"]
 }
 
-// TestNodeClusterByteIdentity runs a request through the cluster from
-// a follower coordinator and expects the exact bytes of a
-// single-process run, a sharded ledger, exactly one decision, and a
-// peer-cache hit afterwards.
-func TestNodeClusterByteIdentity(t *testing.T) {
-	tc := newTestCluster(t)
-	req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 42, Trials: 7}
+// count sums one counter over the named nodes.
+func (tc *testCluster) count(ids []string, counter func(NodeMetrics) uint64) uint64 {
+	var total uint64
+	for _, id := range ids {
+		total += counter(tc.nodes[id].Metrics())
+	}
+	return total
+}
 
+// ndecided counts the jobs dispatched fleet-wide, in the style of the
+// Paxos test harness's ndecided: a dispatch is a key's one decision.
+func (tc *testCluster) ndecided() uint64 {
+	return tc.count(testCoordinators, func(m NodeMetrics) uint64 { return m.Jobs })
+}
+
+// nexecuted counts the shards the workers ran.
+func (tc *testCluster) nexecuted() uint64 {
+	return tc.count(testWorkers, func(m NodeMetrics) uint64 { return m.ShardExecutions })
+}
+
+// checkmax fails the test when more than max jobs were dispatched
+// fleet-wide.
+func (tc *testCluster) checkmax(t *testing.T, max uint64) {
+	t.Helper()
+	if nd := tc.ndecided(); nd > max {
+		t.Fatalf("too many decided: ndecided=%d max=%d", nd, max)
+	}
+}
+
+// groundTruth is the request's canonical single-process bytes.
+func groundTruth(t *testing.T, req service.Request) []byte {
+	t.Helper()
 	want, err := service.ExecuteParallel(req, 4)
 	if err != nil {
 		t.Fatalf("local ground truth: %v", err)
 	}
 	wantJSON, _ := json.Marshal(want)
+	return wantJSON
+}
+
+// TestNodeClusterByteIdentity runs a request through the cluster from
+// the coordinator that does not own its key and expects the exact bytes
+// of a single-process run, one dispatch (by the owner) of one shard per
+// worker, and a peer-cache hit afterwards.
+func TestNodeClusterByteIdentity(t *testing.T) {
+	tc := newTestCluster(t)
+	req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 42, Trials: 7}
+	wantJSON := groundTruth(t, req)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	co := tc.follower()
-	got, err := co.Run(ctx, req)
+	key := req.Normalize().Key()
+	got, err := tc.follower(key).Run(ctx, req)
 	if err != nil {
 		t.Fatalf("cluster run: %v", err)
 	}
@@ -133,25 +190,15 @@ func TestNodeClusterByteIdentity(t *testing.T) {
 		t.Fatalf("cluster response differs from single-process run:\n%s\n%s", gotJSON, wantJSON)
 	}
 
-	key := req.Normalize().Key()
-	jv, ok := co.Ledger().Job(key)
-	if !ok {
-		t.Fatal("job missing from ledger")
+	if ne := tc.nexecuted(); ne != 3 {
+		t.Fatalf("workers executed %d shards, want one per worker (3)", ne)
 	}
-	if len(jv.Shards) != 3 {
-		t.Fatalf("plan has %d shards, want one per worker (3)", len(jv.Shards))
-	}
-	if !jv.Decided {
-		t.Fatal("job not decided")
-	}
-	for i, s := range jv.Shards {
-		if s.Status != ShardDone {
-			t.Fatalf("shard %d not done: %+v", i, s)
-		}
+	if jobs := tc.owner(key).Metrics().Jobs; jobs != 1 || tc.ndecided() != 1 {
+		t.Fatalf("owner dispatched %d jobs, fleet %d; want exactly one coordinator with 1", jobs, tc.ndecided())
 	}
 
 	// Read-through: any coordinator finds the cached canonical bytes.
-	for _, id := range []string{"c1", "c2"} {
+	for _, id := range testCoordinators {
 		cached, ok := tc.nodes[id].Lookup(ctx, key)
 		if !ok {
 			t.Fatalf("%s: peer-cache lookup missed after completion", id)
@@ -161,14 +208,14 @@ func TestNodeClusterByteIdentity(t *testing.T) {
 			t.Fatalf("%s: cached bytes differ from ground truth", id)
 		}
 	}
-	if tc.nodes["c1"].Metrics().PeerCacheHits+tc.nodes["c2"].Metrics().PeerCacheHits == 0 {
+	if tc.count(testCoordinators, func(m NodeMetrics) uint64 { return m.PeerCacheHits }) == 0 {
 		t.Fatal("peer cache hits not counted")
 	}
 }
 
-// TestNodeClusterDedup submits the same request from both coordinators
-// concurrently: the ledger admits one job, both callers get identical
-// bytes.
+// TestNodeClusterDedup sends the same request through both
+// coordinators' Runners concurrently: the fleet dispatches one job and
+// runs each shard once, and both callers get identical bytes.
 func TestNodeClusterDedup(t *testing.T) {
 	tc := newTestCluster(t)
 	req := service.Request{Protocol: "2-choices", N: 400, K: 4, Seed: 7, Trials: 6}
@@ -176,14 +223,14 @@ func TestNodeClusterDedup(t *testing.T) {
 	defer cancel()
 
 	var wg sync.WaitGroup
-	results := make([]*service.Response, 2)
-	errs := make([]error, 2)
-	for i, id := range []string{"c1", "c2"} {
+	results := make([]*service.Response, len(testCoordinators))
+	errs := make([]error, len(testCoordinators))
+	for i, id := range testCoordinators {
 		wg.Add(1)
-		go func(i int, n *Node) {
+		go func() {
 			defer wg.Done()
-			results[i], errs[i] = n.Run(ctx, req)
-		}(i, tc.nodes[id])
+			results[i], _, errs[i] = tc.runners[id].Do(ctx, req)
+		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
@@ -196,18 +243,21 @@ func TestNodeClusterDedup(t *testing.T) {
 	if string(a) != string(b) {
 		t.Fatalf("concurrent submitters saw different bytes:\n%s\n%s", a, b)
 	}
-	if jobs := tc.nodes["c1"].Ledger().Jobs(); len(jobs) != 1 {
-		t.Fatalf("ledger admitted %d jobs, want 1 (cluster-wide dedup)", len(jobs))
+	if nd := tc.ndecided(); nd != 1 {
+		t.Fatalf("fleet dispatched %d jobs, want 1 (cluster-wide dedup)", nd)
+	}
+	tc.checkmax(t, 1)
+	if ne, want := tc.nexecuted(), uint64(len(PlanShards(6, 3))); ne != want {
+		t.Fatalf("workers executed %d shards, want %d (each shard once)", ne, want)
 	}
 }
 
 // TestNodeWorkerFailureRequeues kills one worker's HTTP surface before
-// the run: its shard leases fail, requeue, and rotate to live workers;
-// the run still completes with the single-process bytes.
+// the run: its shard executions fail and rotate to live workers; the
+// run still completes with the single-process bytes.
 func TestNodeWorkerFailureRequeues(t *testing.T) {
 	tc := newTestCluster(t)
-	// Dead worker: still a registered peer (quorum math unchanged at
-	// 4/5 live) but refuses every request.
+	// Dead worker: still a registered peer but refuses every request.
 	tc.handlers["w2"].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "killed", http.StatusBadGateway)
 	}))
@@ -215,7 +265,7 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 
 	// Pick a seed whose first-attempt shard placement hits the dead
 	// worker (placement is a pure function of key and worker set).
-	ring := NewRing([]string{"w1", "w2", "w3"})
+	ring := NewRing(testWorkers)
 	var req service.Request
 	for seed := uint64(1); ; seed++ {
 		req = service.Request{Protocol: "3-majority", N: 500, K: 4, Seed: seed, Trials: 6}
@@ -230,15 +280,11 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 			break
 		}
 	}
-	want, err := service.ExecuteParallel(req, 4)
-	if err != nil {
-		t.Fatalf("local ground truth: %v", err)
-	}
-	wantJSON, _ := json.Marshal(want)
+	wantJSON := groundTruth(t, req)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
-	got, err := tc.follower().Run(ctx, req)
+	got, err := tc.follower(req.Normalize().Key()).Run(ctx, req)
 	if err != nil {
 		t.Fatalf("cluster run with dead worker: %v", err)
 	}
@@ -246,7 +292,76 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 	if string(gotJSON) != string(wantJSON) {
 		t.Fatal("bytes diverged after worker failure")
 	}
-	if tc.follower().Ledger().Requeues() == 0 {
+	if tc.count(testCoordinators, func(m NodeMetrics) uint64 { return m.Requeues }) == 0 {
 		t.Fatal("dead worker's shard was never requeued")
+	}
+}
+
+// TestNodeDeadOwnerFallsBack makes the key's owning coordinator answer
+// 502 to everything: the other coordinator's forward fails, so it
+// dispatches the job itself and still returns the single-process bytes.
+func TestNodeDeadOwnerFallsBack(t *testing.T) {
+	tc := newTestCluster(t)
+	req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 9, Trials: 5}
+	key := req.Normalize().Key()
+	owner, other := tc.owner(key), tc.follower(key)
+	tc.handlers[owner.cfg.ID].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		http.Error(w, "dead", http.StatusBadGateway)
+	}))
+	wantJSON := groundTruth(t, req)
+
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	got, err := other.Run(ctx, req)
+	if err != nil {
+		t.Fatalf("cluster run with dead owner: %v", err)
+	}
+	gotJSON, _ := json.Marshal(got)
+	if string(gotJSON) != string(wantJSON) {
+		t.Fatalf("fallback dispatch differs from single-process run:\n%s\n%s", gotJSON, wantJSON)
+	}
+	if jobs := other.Metrics().Jobs; jobs != 1 {
+		t.Fatalf("non-owner dispatched %d jobs, want 1", jobs)
+	}
+	if jobs := owner.Metrics().Jobs; jobs != 0 {
+		t.Fatalf("dead owner dispatched %d jobs, want 0", jobs)
+	}
+}
+
+// TestPlanShards checks the plan tiles [0, trials) contiguously with
+// near-equal sizes for assorted shapes.
+func TestPlanShards(t *testing.T) {
+	for _, tc := range []struct{ trials, parts, want int }{
+		{10, 3, 3}, {10, 1, 1}, {3, 5, 3}, {1, 1, 1}, {100, 7, 7}, {5, 0, 1},
+	} {
+		plan := PlanShards(tc.trials, tc.parts)
+		if len(plan) != tc.want {
+			t.Errorf("PlanShards(%d, %d) = %d shards, want %d", tc.trials, tc.parts, len(plan), tc.want)
+			continue
+		}
+		lo := 0
+		minSz, maxSz := tc.trials, 0
+		for _, s := range plan {
+			if s.Lo != lo {
+				t.Fatalf("PlanShards(%d, %d): gap/overlap at %d (plan %v)", tc.trials, tc.parts, lo, plan)
+			}
+			if sz := s.Hi - s.Lo; sz > 0 {
+				if sz < minSz {
+					minSz = sz
+				}
+				if sz > maxSz {
+					maxSz = sz
+				}
+			} else {
+				t.Fatalf("PlanShards(%d, %d): empty shard %v", tc.trials, tc.parts, s)
+			}
+			lo = s.Hi
+		}
+		if lo != tc.trials {
+			t.Fatalf("PlanShards(%d, %d) tiles to %d, want %d", tc.trials, tc.parts, lo, tc.trials)
+		}
+		if maxSz-minSz > 1 {
+			t.Errorf("PlanShards(%d, %d) sizes range [%d, %d], want near-equal", tc.trials, tc.parts, minSz, maxSz)
+		}
 	}
 }
