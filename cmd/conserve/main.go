@@ -41,10 +41,11 @@
 // internal/cluster): coordinators answer clients and dispatch the
 // request keys they own, consistent-hashed over -coordinators, by
 // running trial shards on the workers and merging them; a coordinator
-// forwards keys it does not own to their owner's /run and dispatches
-// them itself if the owner is unreachable or busy. -lease-timeout
-// bounds one shard execution before it moves to the next worker.
-// Fleet responses are byte-identical to a single node's.
+// forwards keys it does not own to their owner's /cluster/run and
+// dispatches them itself if the owner fails to answer. -lease-timeout
+// bounds every intra-cluster call: a shard execution (past it the shard
+// moves to the next worker), a forward, and a fleet-cache read or
+// write. Fleet responses are byte-identical to a single node's.
 //
 // Examples:
 //
@@ -203,7 +204,7 @@ func run(ctx context.Context, args []string) error {
 		nodeID       = fs.String("node-id", "", "this node's cluster ID (required with -cluster)")
 		peersFlag    = fs.String("peers", "", "comma-separated fleet as id=http://host:port, self included (required with -cluster)")
 		coordsFlag   = fs.String("coordinators", "", "comma-separated coordinator node IDs (required with -cluster)")
-		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "per-shard execution bound; past it the shard moves to the next worker")
+		leaseTimeout = fs.Duration("lease-timeout", 2*time.Minute, "bound on each intra-cluster call: a shard execution (then the next worker runs it), a forward to the key owner (then this coordinator dispatches it), a fleet-cache read or write")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -248,7 +249,6 @@ func run(ctx context.Context, args []string) error {
 		if err != nil {
 			return err
 		}
-		defer node.Close()
 		extra = service.Extra{
 			Routes:  map[string]http.Handler{"/cluster/": node.Handler()},
 			Metrics: node.WriteMetrics,

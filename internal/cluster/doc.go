@@ -8,10 +8,14 @@
 // Coordinators hold no shared state. Each request key is owned by one
 // coordinator, chosen by consistent hashing over the coordinator set,
 // and only the owner dispatches it. A coordinator that is not the owner
-// forwards the normalized request to the owner's POST /run; the owner's
-// Runner joins concurrent duplicates and serves late ones from its
-// cache, which makes a key run once fleet-wide. When the forward fails
-// (dead owner, 429, 503) the coordinator dispatches the job itself.
+// forwards the normalized request to the owner's POST /cluster/run,
+// bounded by the lease timeout. The owner serves forwards in its HTTP
+// handler rather than its Runner, so coordinators forwarding to each
+// other never wait on each other's Runner slots. It joins concurrent
+// callers for a key, local or forwarded, onto one dispatch, and reads
+// the fleet cache before dispatching, which makes a key run once
+// fleet-wide. When the forward fails (dead or hung owner, 5xx) the
+// coordinator dispatches the job itself.
 //
 // # Dispatch
 //

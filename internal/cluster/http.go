@@ -25,32 +25,44 @@ func defaultHTTPClient() HTTPDoer {
 // carry full trial arrays, so this is far above the client-facing 1MB.
 const maxClusterBody = 64 << 20
 
-// roundTrip POSTs in as JSON to peer's path and decodes a 200 answer
-// into out; any other status is an error.
-func (n *Node) roundTrip(ctx context.Context, peer, path string, in, out any) error {
+// call sends one intra-cluster request to peer, bounded by the lease
+// timeout, and returns the body of a 2xx answer; any other status is an
+// error.
+func (n *Node) call(ctx context.Context, method, peer, path string, body []byte) ([]byte, error) {
 	addr, ok := n.cfg.Peers[peer]
 	if !ok {
-		return fmt.Errorf("cluster: unknown peer %q", peer)
+		return nil, fmt.Errorf("cluster: unknown peer %q", peer)
 	}
-	body, err := json.Marshal(in)
+	ctx, cancel := context.WithTimeout(ctx, n.cfg.LeaseTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, method, addr+path, bytes.NewReader(body))
 	if err != nil {
-		return err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, addr+path, bytes.NewReader(body))
-	if err != nil {
-		return err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := n.client.Do(req)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
+	if resp.StatusCode/100 != 2 {
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
-		return fmt.Errorf("cluster: %s %s: %s: %s", peer, path, resp.Status, bytes.TrimSpace(msg))
+		return nil, fmt.Errorf("cluster: %s %s %s: %s: %s", peer, method, path, resp.Status, bytes.TrimSpace(msg))
 	}
-	return json.NewDecoder(io.LimitReader(resp.Body, maxClusterBody)).Decode(out)
+	return io.ReadAll(io.LimitReader(resp.Body, maxClusterBody))
+}
+
+// roundTrip POSTs in as JSON to peer's path and decodes the answer into
+// out.
+func (n *Node) roundTrip(ctx context.Context, peer, path string, in, out any) error {
+	body, err := json.Marshal(in)
+	if err != nil {
+		return err
+	}
+	if body, err = n.call(ctx, http.MethodPost, peer, path, body); err != nil {
+		return err
+	}
+	return json.Unmarshal(body, out)
 }
 
 // executeRequest is the worker shard-execution RPC body.
@@ -61,19 +73,16 @@ type executeRequest struct {
 }
 
 // decodeExecute parses a /cluster/execute body and checks it the way
-// service.ExecuteShard will: the request normalizes and validates, it
-// is not analytic-tier, and 0 ≤ lo < hi ≤ trials.
+// service.ExecuteShard will: the request is shardable and 0 ≤ lo < hi ≤
+// trials.
 func decodeExecute(r io.Reader) (service.Request, ShardRange, error) {
 	var req executeRequest
 	if err := json.NewDecoder(io.LimitReader(r, maxClusterBody)).Decode(&req); err != nil {
 		return service.Request{}, ShardRange{}, err
 	}
-	q := req.Request.Normalize()
-	if err := q.Validate(); err != nil {
+	q, err := shardable(req.Request)
+	if err != nil {
 		return service.Request{}, ShardRange{}, err
-	}
-	if q.Tier == service.TierAnalytic {
-		return service.Request{}, ShardRange{}, fmt.Errorf("cluster: analytic-tier requests have no trial shards")
 	}
 	if req.Lo < 0 || req.Hi > q.Trials || req.Lo >= req.Hi {
 		return service.Request{}, ShardRange{}, fmt.Errorf("cluster: shard [%d, %d) out of range for %d trials", req.Lo, req.Hi, q.Trials)
@@ -81,11 +90,30 @@ func decodeExecute(r io.Reader) (service.Request, ShardRange, error) {
 	return q, ShardRange{Lo: req.Lo, Hi: req.Hi}, nil
 }
 
-// executeOn runs one shard synchronously on worker, bounded by the
-// lease timeout.
+// decodeRun parses a /cluster/run body: a shardable request.
+func decodeRun(r io.Reader) (service.Request, error) {
+	var req service.Request
+	if err := json.NewDecoder(io.LimitReader(r, maxClusterBody)).Decode(&req); err != nil {
+		return service.Request{}, err
+	}
+	return shardable(req)
+}
+
+// shardable normalizes req and checks that it validates and is not
+// analytic-tier, so it has trial shards.
+func shardable(req service.Request) (service.Request, error) {
+	q := req.Normalize()
+	if err := q.Validate(); err != nil {
+		return service.Request{}, err
+	}
+	if q.Tier == service.TierAnalytic {
+		return service.Request{}, fmt.Errorf("cluster: analytic-tier requests have no trial shards")
+	}
+	return q, nil
+}
+
+// executeOn runs one shard synchronously on worker.
 func (n *Node) executeOn(ctx context.Context, worker string, q service.Request, s ShardRange) (*service.ShardResult, error) {
-	ctx, cancel := context.WithTimeout(ctx, n.cfg.LeaseTimeout)
-	defer cancel()
 	var out service.ShardResult
 	if err := n.roundTrip(ctx, worker, "/cluster/execute", executeRequest{Request: q, Lo: s.Lo, Hi: s.Hi}, &out); err != nil {
 		return nil, err
@@ -94,56 +122,41 @@ func (n *Node) executeOn(ctx context.Context, worker string, q service.Request, 
 }
 
 func (n *Node) cacheGetRemote(ctx context.Context, owner, key string) ([]byte, bool) {
-	addr, ok := n.cfg.Peers[owner]
-	if !ok {
-		return nil, false
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, addr+"/cluster/cache/"+key, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, false
-	}
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxClusterBody))
-	if err != nil {
-		return nil, false
-	}
-	return body, true
+	body, err := n.call(ctx, http.MethodGet, owner, "/cluster/cache/"+key, nil)
+	return body, err == nil
 }
 
 func (n *Node) cachePutRemote(ctx context.Context, owner, key string, body []byte) {
-	addr, ok := n.cfg.Peers[owner]
-	if !ok {
-		return
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, addr+"/cluster/cache/"+key, bytes.NewReader(body))
-	if err != nil {
-		return
-	}
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return
-	}
-	resp.Body.Close()
+	n.call(ctx, http.MethodPut, owner, "/cluster/cache/"+key, body)
 }
 
 // Handler returns the node's /cluster/* HTTP surface, mounted into the
 // conserve server via service.Extra.Routes:
 //
+//	POST /cluster/run         dispatch a forwarded job (coordinators)
 //	POST /cluster/execute     run one shard here (workers)
 //	GET  /cluster/cache/{key} read this node's peer-cache slice
 //	PUT  /cluster/cache/{key} write this node's peer-cache slice
-//
-// A coordinator forwards a job it does not own to the owner's ordinary
-// POST /run, which needs no route here.
 func (n *Node) Handler() http.Handler {
 	mux := http.NewServeMux()
+	mux.HandleFunc("POST /cluster/run", func(w http.ResponseWriter, r *http.Request) {
+		if n.cfg.Role != RoleCoordinator || len(n.workers.Peers()) == 0 {
+			http.Error(w, "cluster: not a coordinator with workers", http.StatusNotFound)
+			return
+		}
+		q, err := decodeRun(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		resp, err := n.own(r.Context(), q, q.Key())
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadGateway)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(resp)
+	})
 	mux.HandleFunc("POST /cluster/execute", func(w http.ResponseWriter, r *http.Request) {
 		q, s, err := decodeExecute(r.Body)
 		if err != nil {

@@ -46,9 +46,10 @@ type NodeConfig struct {
 	Coordinators []string
 	// Parallelism bounds trial parallelism for shards executed here.
 	Parallelism int
-	// LeaseTimeout bounds one shard execution on a worker; past it the
-	// dispatch cancels and the shard moves to the next worker (default
-	// 2m).
+	// LeaseTimeout bounds every intra-cluster call: a shard execution
+	// on a worker (past it the shard moves to the next worker), a
+	// forward to the key's owner (past it this coordinator dispatches
+	// the job itself), and a fleet-cache read or write (default 2m).
 	LeaseTimeout time.Duration
 	// Client issues intra-cluster HTTP (default: a pooled client).
 	Client HTTPDoer
@@ -68,16 +69,22 @@ type Node struct {
 	owners  *Ring // coordinators: job ownership
 	workers *Ring // workers: shard placement
 
-	mu    sync.Mutex
-	cache map[string][]byte
+	mu      sync.Mutex
+	cache   map[string][]byte
+	flights map[string]*flight // dispatches in progress, by key
 
 	jobs            atomic.Uint64
 	shardExecutions atomic.Uint64
 	requeues        atomic.Uint64
 	peerCacheHits   atomic.Uint64
+}
 
-	closeOnce sync.Once
-	closed    chan struct{}
+// flight is one dispatch in progress, shared by every concurrent caller
+// for its key.
+type flight struct {
+	done chan struct{}
+	resp *service.Response
+	err  error
 }
 
 // NewNode validates the configuration and builds the node's rings.
@@ -118,18 +125,12 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		owners:  NewRing(cfg.Coordinators),
 		workers: NewRing(workers),
 		cache:   make(map[string][]byte),
-		closed:  make(chan struct{}),
+		flights: make(map[string]*flight),
 	}
 	if n.client == nil {
 		n.client = defaultHTTPClient()
 	}
 	return n, nil
-}
-
-// Close ends every in-flight dispatch at its next retry pause.
-// Idempotent.
-func (n *Node) Close() {
-	n.closeOnce.Do(func() { close(n.closed) })
 }
 
 func shardID(key string, shard int) string { return fmt.Sprintf("%s#%d", key, shard) }
@@ -178,11 +179,13 @@ func (n *Node) ExecuteShardLocal(ctx context.Context, q service.Request, lo, hi 
 
 // Run implements service.Remote for coordinator nodes. The key's owning
 // coordinator dispatches the job; any other coordinator forwards the
-// request to the owner's POST /run, whose Runner joins concurrent
-// duplicates and serves late ones from its cache, so a key runs once
-// fleet-wide. If the forward fails for any reason (dead owner, 429,
-// 503), this coordinator dispatches the job itself: the shards are pure
-// functions of the request, so the bytes are the same.
+// request to the owner's POST /cluster/run, bounded by the lease
+// timeout. The owner serves a forward in its HTTP handler, outside its
+// Runner, so a forward never waits for a Runner slot that the owner's
+// own forwards may hold: coordinators forwarding to each other cannot
+// deadlock. If the forward fails for any reason (dead, hung or draining
+// owner), this coordinator dispatches the job itself: the shards are
+// pure functions of the request, so the bytes are the same.
 func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response, error) {
 	if n.cfg.Role != RoleCoordinator || len(n.workers.Peers()) == 0 {
 		return nil, service.ErrNotClustered
@@ -197,7 +200,7 @@ func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response,
 	key := q.Key()
 	if owner := n.owners.Owner(key); owner != n.cfg.ID {
 		var resp service.Response
-		err := n.roundTrip(ctx, owner, "/run", q, &resp)
+		err := n.roundTrip(ctx, owner, "/cluster/run", q, &resp)
 		if err == nil {
 			return &resp, nil
 		}
@@ -206,7 +209,45 @@ func (n *Node) Run(ctx context.Context, req service.Request) (*service.Response,
 		}
 		n.cfg.Logf("cluster: forward %s to owner %s failed: %v; dispatching here", key, owner, err)
 	}
-	return n.dispatch(ctx, q, key)
+	return n.own(ctx, q, key)
+}
+
+// own runs a job this coordinator dispatches, whether its own Runner
+// asked or another coordinator forwarded it. Concurrent calls for a key
+// share one dispatch, and the first caller reads the fleet cache before
+// dispatching, so a key runs once fleet-wide while its owner is up. A
+// caller whose shared dispatch failed (its first caller gave up) tries
+// again under its own ctx.
+func (n *Node) own(ctx context.Context, q service.Request, key string) (*service.Response, error) {
+	for {
+		n.mu.Lock()
+		f, joined := n.flights[key]
+		if !joined {
+			f = &flight{done: make(chan struct{})}
+			n.flights[key] = f
+		}
+		n.mu.Unlock()
+		if !joined {
+			if resp, ok := n.Lookup(ctx, key); ok {
+				f.resp = resp
+			} else {
+				f.resp, f.err = n.dispatch(ctx, q, key)
+			}
+			n.mu.Lock()
+			delete(n.flights, key)
+			n.mu.Unlock()
+			close(f.done)
+			return f.resp, f.err
+		}
+		select {
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-f.done:
+		}
+		if f.err == nil {
+			return f.resp, nil
+		}
+	}
 }
 
 // dispatch runs every shard of q on the workers, merges the results and
@@ -265,8 +306,6 @@ func (n *Node) runShard(ctx context.Context, q service.Request, id string, s Sha
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
-		case <-n.closed:
-			return nil, fmt.Errorf("cluster: node closing (shard %s: %w)", id, err)
 		case <-time.After(retryPause):
 		}
 	}

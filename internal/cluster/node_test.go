@@ -3,10 +3,12 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -52,9 +54,16 @@ var (
 // newTestCluster stands up an in-process fleet over loopback HTTP:
 // 2 coordinators (c1, c2) + 3 workers (w1..w3). Coordinators serve the
 // production wiring — a Runner routing through the node plus the
-// node's /cluster/ routes — so a forward to the owner's POST /run goes
-// through the owner's Runner; workers serve the /cluster/ routes.
+// node's /cluster/ routes, which take the other coordinator's forwards;
+// workers serve the /cluster/ routes.
 func newTestCluster(t *testing.T) *testCluster {
+	t.Helper()
+	return newTestClusterWith(t, 30*time.Second, 0)
+}
+
+// newTestClusterWith is newTestCluster with the nodes' lease timeout
+// and the coordinator Runners' worker count (0 = the default).
+func newTestClusterWith(t *testing.T, lease time.Duration, runnerWorkers int) *testCluster {
 	t.Helper()
 	tc := &testCluster{
 		nodes:    make(map[string]*Node),
@@ -83,7 +92,7 @@ func newTestCluster(t *testing.T) *testCluster {
 			Peers:        peers,
 			Coordinators: testCoordinators,
 			Parallelism:  2,
-			LeaseTimeout: 30 * time.Second,
+			LeaseTimeout: lease,
 			Logf:         t.Logf,
 		})
 		if err != nil {
@@ -94,7 +103,7 @@ func newTestCluster(t *testing.T) *testCluster {
 			tc.handlers[id].set(n.Handler())
 			continue
 		}
-		rn := service.NewRunner(service.Options{Remote: n})
+		rn := service.NewRunner(service.Options{Workers: runnerWorkers, Remote: n})
 		tc.runners[id] = rn
 		tc.handlers[id].set(service.NewServerWith(rn, service.Extra{
 			Routes: map[string]http.Handler{"/cluster/": n.Handler()},
@@ -106,9 +115,6 @@ func newTestCluster(t *testing.T) *testCluster {
 func (tc *testCluster) close() {
 	for _, rn := range tc.runners {
 		rn.Close()
-	}
-	for _, n := range tc.nodes {
-		n.Close()
 	}
 	for _, s := range tc.servers {
 		s.Close()
@@ -261,7 +267,6 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 	tc.handlers["w2"].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "killed", http.StatusBadGateway)
 	}))
-	tc.nodes["w2"].Close()
 
 	// Pick a seed whose first-attempt shard placement hits the dead
 	// worker (placement is a pure function of key and worker set).
@@ -297,34 +302,125 @@ func TestNodeWorkerFailureRequeues(t *testing.T) {
 	}
 }
 
-// TestNodeDeadOwnerFallsBack makes the key's owning coordinator answer
-// 502 to everything: the other coordinator's forward fails, so it
-// dispatches the job itself and still returns the single-process bytes.
+// TestNodeDeadOwnerFallsBack makes the key's owning coordinator fail:
+// it answers 502 to everything, or it hangs without answering. The
+// other coordinator's forward fails or runs out its lease timeout, so
+// it dispatches the job itself and still returns the single-process
+// bytes.
 func TestNodeDeadOwnerFallsBack(t *testing.T) {
-	tc := newTestCluster(t)
-	req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 9, Trials: 5}
-	key := req.Normalize().Key()
-	owner, other := tc.owner(key), tc.follower(key)
-	tc.handlers[owner.cfg.ID].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		http.Error(w, "dead", http.StatusBadGateway)
-	}))
-	wantJSON := groundTruth(t, req)
+	for _, tt := range []struct {
+		name  string
+		owner http.HandlerFunc
+	}{
+		{"502", func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, "dead", http.StatusBadGateway)
+		}},
+		{"hung", func(w http.ResponseWriter, r *http.Request) {
+			// Read the request, then never answer. (The server only
+			// notices the client leaving once the body is consumed.)
+			io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+		}},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			tc := newTestClusterWith(t, 2*time.Second, 0)
+			req := service.Request{Protocol: "3-majority", N: 600, K: 5, Seed: 9, Trials: 5}
+			key := req.Normalize().Key()
+			owner, other := tc.owner(key), tc.follower(key)
+			tc.handlers[owner.cfg.ID].set(tt.owner)
+			wantJSON := groundTruth(t, req)
 
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+			defer cancel()
+			got, err := other.Run(ctx, req)
+			if err != nil {
+				t.Fatalf("cluster run with dead owner: %v", err)
+			}
+			gotJSON, _ := json.Marshal(got)
+			if string(gotJSON) != string(wantJSON) {
+				t.Fatalf("fallback dispatch differs from single-process run:\n%s\n%s", gotJSON, wantJSON)
+			}
+			if jobs := other.Metrics().Jobs; jobs != 1 {
+				t.Fatalf("non-owner dispatched %d jobs, want 1", jobs)
+			}
+			if jobs := owner.Metrics().Jobs; jobs != 0 {
+				t.Fatalf("dead owner dispatched %d jobs, want 0", jobs)
+			}
+		})
+	}
+}
+
+// TestNodeCrossForwardsDoNotDeadlock gives each coordinator's Runner a
+// single worker and sends each coordinator, at the same time, a key the
+// other one owns. Both forwards are held back until both have arrived,
+// so each owner receives a forward while its only Runner slot is busy
+// forwarding the other way. Both jobs must still finish well inside the
+// lease timeout, each dispatched once, by its owner.
+func TestNodeCrossForwardsDoNotDeadlock(t *testing.T) {
+	tc := newTestClusterWith(t, 30*time.Second, 1)
+	var posts atomic.Int32
+	both := make(chan struct{})
+	for _, id := range testCoordinators {
+		inner := tc.handlers[id].h
+		tc.handlers[id].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.Method == http.MethodPost {
+				if posts.Add(1) == 2 {
+					close(both)
+				}
+				select {
+				case <-both:
+				case <-r.Context().Done():
+					return
+				}
+			}
+			inner.ServeHTTP(w, r)
+		}))
+	}
+
+	// One request per coordinator, owned by the other one.
+	reqs := make(map[string]service.Request)
+	for seed := uint64(1); len(reqs) < len(testCoordinators); seed++ {
+		req := service.Request{Protocol: "3-majority", N: 500, K: 4, Seed: seed, Trials: 3}
+		via := tc.follower(req.Normalize().Key()).cfg.ID
+		if _, ok := reqs[via]; !ok {
+			reqs[via] = req
+		}
+	}
+	want := make(map[string][]byte)
+	for via, req := range reqs {
+		want[via] = groundTruth(t, req)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
-	got, err := other.Run(ctx, req)
-	if err != nil {
-		t.Fatalf("cluster run with dead owner: %v", err)
+	var wg sync.WaitGroup
+	got := make(map[string][]byte)
+	errs := make(map[string]error)
+	var mu sync.Mutex
+	for via, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, _, err := tc.runners[via].Do(ctx, req)
+			body, _ := json.Marshal(resp)
+			mu.Lock()
+			defer mu.Unlock()
+			got[via], errs[via] = body, err
+		}()
 	}
-	gotJSON, _ := json.Marshal(got)
-	if string(gotJSON) != string(wantJSON) {
-		t.Fatalf("fallback dispatch differs from single-process run:\n%s\n%s", gotJSON, wantJSON)
+	wg.Wait()
+	for via := range reqs {
+		if errs[via] != nil {
+			t.Fatalf("run through %s: %v", via, errs[via])
+		}
+		if string(got[via]) != string(want[via]) {
+			t.Fatalf("run through %s differs from single-process run", via)
+		}
 	}
-	if jobs := other.Metrics().Jobs; jobs != 1 {
-		t.Fatalf("non-owner dispatched %d jobs, want 1", jobs)
-	}
-	if jobs := owner.Metrics().Jobs; jobs != 0 {
-		t.Fatalf("dead owner dispatched %d jobs, want 0", jobs)
+	for _, id := range testCoordinators {
+		if jobs := tc.nodes[id].Metrics().Jobs; jobs != 1 {
+			t.Fatalf("%s dispatched %d jobs, want 1 (its own key, no fallback)", id, jobs)
+		}
 	}
 }
 

@@ -44,9 +44,10 @@ func NewServer(rn *Runner) http.Handler {
 
 // Extra extends the conserve handler for cluster mode without the
 // service layer importing the cluster package: extra route prefixes
-// (the /cluster/* shard-execution and fleet-cache endpoints) and extra
-// /metrics lines (dispatched jobs, shard executions and requeues,
-// peer-cache hits) appended after the runner's own counters.
+// (the /cluster/* owner-forward, shard-execution and fleet-cache
+// endpoints) and extra /metrics lines (dispatched jobs, shard
+// executions and requeues, peer-cache hits) appended after the
+// runner's own counters.
 type Extra struct {
 	// Routes maps mux patterns (e.g. "/cluster/") to their handlers.
 	Routes map[string]http.Handler
