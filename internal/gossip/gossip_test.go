@@ -1,7 +1,11 @@
 package gossip
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"slices"
 	"testing"
 
 	"plurality/internal/population"
@@ -291,4 +295,106 @@ func BenchmarkGossipRoundN500(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nw.Round()
 	}
+}
+
+// pinCase is one recorded gossip execution: a rule, a tiny network
+// (so self-pulls and pulls of crashed peers are frequent) and a fault
+// model, with the outcome the seed produces.
+type pinCase struct {
+	rule   Rule
+	n      int
+	fault  string // "clean", "crashed" or "loss"
+	rounds int
+	winner int32
+	counts []int64
+	digest uint64 // FNV-1a over every round's counts
+}
+
+// pinConfig builds the network a pinCase describes: three opinions
+// (fewer at n < 3), crashed nodes at both ends of the id range, or a
+// 0.4 pull-loss probability.
+func pinConfig(c pinCase) Config {
+	k := 3
+	if c.n < k {
+		k = c.n
+	}
+	cfg := Config{
+		N:    c.n,
+		Rule: c.rule,
+		Init: population.Balanced(int64(c.n), k),
+		Seed: uint64(1000*int(c.rule) + 10*c.n + len(c.fault)),
+	}
+	switch c.fault {
+	case "crashed":
+		cfg.Crashed = []int{0, c.n - 1}
+	case "loss":
+		cfg.LossProb = 0.4
+	}
+	return cfg
+}
+
+// runPin executes a pinCase for at most 300 rounds and returns the
+// result, the final counts and a digest of the whole count trajectory.
+func runPin(t *testing.T, c pinCase) (Result, []int64, uint64) {
+	t.Helper()
+	nw := mustNetwork(t, pinConfig(c))
+	h := fnv.New64a()
+	var buf [8]byte
+	digest := func(_ int64, v *population.Vector) bool {
+		for _, x := range v.Counts() {
+			binary.LittleEndian.PutUint64(buf[:], uint64(x))
+			h.Write(buf[:])
+		}
+		return false
+	}
+	res := nw.Run(300, nil, digest)
+	return res, append([]int64(nil), nw.Counts().Counts()...), h.Sum64()
+}
+
+// TestOutcomesPinned pins each rule's executions under every fault
+// model, so a change to the round loop that moves a single draw fails
+// here. The values were recorded from the goroutine-per-node transport.
+func TestOutcomesPinned(t *testing.T) {
+	for _, c := range pinnedOutcomes {
+		c := c
+		t.Run(fmt.Sprintf("%s/n%d/%s", c.rule.Name(), c.n, c.fault), func(t *testing.T) {
+			res, counts, digest := runPin(t, c)
+			if res.Rounds != c.rounds || res.Winner != c.winner ||
+				!slices.Equal(counts, c.counts) || digest != c.digest {
+				t.Fatalf("got rounds=%d winner=%d counts=%v digest=%#x; pinned rounds=%d winner=%d counts=%v digest=%#x",
+					res.Rounds, res.Winner, counts, digest, c.rounds, c.winner, c.counts, c.digest)
+			}
+		})
+	}
+}
+
+// pinnedOutcomes: rule, n, fault, rounds, winner, final counts, digest.
+var pinnedOutcomes = []pinCase{
+	{ThreeMajority, 4, "clean", 6, 0, []int64{4, 0, 0}, 0x54c417e64bfb9da3},
+	{ThreeMajority, 4, "crashed", 3, 0, []int64{3, 0, 1}, 0xf0ee94e55288d185},
+	{ThreeMajority, 4, "loss", 9, 0, []int64{4, 0, 0}, 0x2f5c17e7cd92adc3},
+	{ThreeMajority, 7, "clean", 6, 1, []int64{0, 7, 0}, 0x64525ef275fb47c2},
+	{ThreeMajority, 7, "crashed", 3, 1, []int64{1, 5, 1}, 0xcc3ce4649533f2a7},
+	{ThreeMajority, 7, "loss", 12, 1, []int64{0, 7, 0}, 0xbea6231ea17a8540},
+	{ThreeMajority, 12, "clean", 6, 2, []int64{0, 0, 12}, 0xd61900d81cecbe25},
+	{ThreeMajority, 12, "crashed", 6, 1, []int64{1, 10, 1}, 0x90e083091caeac0b},
+	{ThreeMajority, 12, "loss", 13, 2, []int64{0, 0, 12}, 0x21d16f204b9ea72f},
+	{TwoChoices, 4, "clean", 3, 0, []int64{4, 0, 0}, 0x9a31d8b378b71903},
+	{TwoChoices, 4, "crashed", 2, 0, []int64{3, 0, 1}, 0x2b5667a1daae97c7},
+	{TwoChoices, 4, "loss", 6, 0, []int64{4, 0, 0}, 0x78c7153476bbfba1},
+	{TwoChoices, 7, "clean", 3, 2, []int64{0, 0, 7}, 0x6edaf11805becd21},
+	{TwoChoices, 7, "crashed", 18, 0, []int64{6, 0, 1}, 0xc0fbdda11c989260},
+	{TwoChoices, 7, "loss", 13, 0, []int64{7, 0, 0}, 0x143442222fb2b5a1},
+	{TwoChoices, 12, "clean", 8, 1, []int64{0, 12, 0}, 0xb65dd62b3ab87f45},
+	{TwoChoices, 12, "crashed", 9, 0, []int64{11, 0, 1}, 0x7952615680e22f89},
+	{TwoChoices, 12, "loss", 24, 0, []int64{12, 0, 0}, 0x1e7fdcbb34ad492d},
+	{Voter, 4, "clean", 8, 2, []int64{0, 0, 4}, 0x158d992fbe4b1261},
+	{Voter, 4, "crashed", 2, 0, []int64{3, 0, 1}, 0x2b5667a1daae97c7},
+	{Voter, 4, "loss", 6, 2, []int64{0, 0, 4}, 0x60a3063a48cebc1},
+	{Voter, 7, "clean", 12, 0, []int64{7, 0, 0}, 0x500384dd0e608046},
+	{Voter, 7, "crashed", 10, 1, []int64{1, 5, 1}, 0xd7bb4a7c856c0fc2},
+	{Voter, 7, "loss", 2, 0, []int64{7, 0, 0}, 0xeb07c6fd5a5ce826},
+	{Voter, 12, "clean", 17, 0, []int64{12, 0, 0}, 0x1a6e4dbc01ede2cb},
+	{Voter, 12, "crashed", 28, 2, []int64{1, 0, 11}, 0x8fcaa323eadda405},
+	{Voter, 12, "loss", 32, 1, []int64{0, 12, 0}, 0x5d575d0a15d9b47},
 }
