@@ -92,7 +92,7 @@ func BenchmarkExperimentGraphs(b *testing.B) { benchmarkExperiment(b, "graphs") 
 // (baselines of §1.1 and the §2.5 USD open question).
 func BenchmarkExperimentZoo(b *testing.B) { benchmarkExperiment(b, "zoo") }
 
-// BenchmarkExperimentGossip regenerates the message-passing-vs-engine
+// BenchmarkExperimentGossip regenerates the gossip-vs-engine
 // cross-validation and the fault sweep.
 func BenchmarkExperimentGossip(b *testing.B) { benchmarkExperiment(b, "gossip") }
 
@@ -184,8 +184,8 @@ func BenchmarkAblationAgentEngine(b *testing.B) {
 	})
 }
 
-// BenchmarkAblationGossipEngine runs a (smaller) instance as a real
-// message-passing network — the cost of actual concurrency.
+// BenchmarkAblationGossipEngine runs a (smaller) instance node by
+// node — the cost of per-node state and pulls.
 func BenchmarkAblationGossipEngine(b *testing.B) {
 	benchmarkConsensus(b, plurality.Experiment{
 		Mode:     plurality.ModeGossip,

@@ -1,6 +1,6 @@
-// Gossip network: the dynamics as a real concurrent system. Every node
-// is a goroutine; pulls travel over channels; rounds are synchronized
-// by a two-phase barrier. The demo runs 2-Choices on 400 nodes three
+// Gossip network: the dynamics node by node. Every node keeps its own
+// opinion and PRNG stream and, each synchronous round, pulls random
+// peers' previous-round opinions. The demo runs 2-Choices on 400 nodes three
 // ways — clean, with 5% of the nodes crashed, and with 40% pull loss —
 // showing that the protocol's self-stabilizing drift survives both
 // fault models (at the price of extra rounds). Each scenario is one
@@ -28,7 +28,7 @@ func main() {
 		Seed:     21,
 	}
 
-	fmt.Printf("gossip 2-Choices: %d node goroutines, %d opinions, balanced start\n\n", n, k)
+	fmt.Printf("gossip 2-Choices: %d nodes, %d opinions, balanced start\n\n", n, k)
 	fmt.Printf("%-26s %-8s %-10s %-22s\n", "scenario", "rounds", "decided", "final counts")
 
 	run := func(name string, mutate func(*plurality.Experiment)) {

@@ -38,8 +38,9 @@ const (
 	// Topology (paper §2.5 open problem). O(n) per round, sharded
 	// across cores. Supports ThreeMajority, TwoChoices and Voter.
 	ModeGraph Mode = "graph"
-	// ModeGossip executes the dynamics as a real message-passing
-	// system (one goroutine per node) with optional crash/loss faults.
+	// ModeGossip executes the dynamics node by node (each node pulls
+	// random peers with its own PRNG stream) with optional crash/loss
+	// faults.
 	// Supports ThreeMajority, TwoChoices and Voter.
 	ModeGossip Mode = "gossip"
 )
@@ -506,8 +507,9 @@ const (
 	// layer's per-topology MaxGraphEdges, so a maximal adjacency caps
 	// at two concurrent builds.
 	graphEdgeBudget = 1 << 30
-	// gossipNodeBudget caps the node goroutines alive at once across a
-	// gossip experiment's concurrent trials.
+	// gossipNodeBudget caps the nodes held in memory at once across a
+	// gossip experiment's concurrent trials (≈41 bytes each: two
+	// opinion snapshots, a crash flag and a PRNG state).
 	gossipNodeBudget = 1 << 18
 )
 

@@ -2,11 +2,11 @@ package plurality
 
 import "plurality/internal/trace"
 
-// GossipConfig describes a run of the dynamics as an actual
-// message-passing system: one goroutine per node, pull-based opinion
-// exchange over channels, synchronous rounds via a two-phase barrier
-// (see internal/gossip). Use it to study fault models the count-space
-// engine cannot express — crashed nodes and lossy pulls.
+// GossipConfig describes a node-by-node run of the dynamics: every
+// node pulls random peers' opinions from the previous round, with its
+// own PRNG stream (see internal/gossip). Use it to study fault models
+// the count-space engine cannot express — crashed nodes and lossy
+// pulls.
 type GossipConfig struct {
 	// N is the number of nodes. Required.
 	N int
@@ -24,10 +24,8 @@ type GossipConfig struct {
 	LossProb float64
 	// MaxRounds bounds the run; 0 means 100000.
 	MaxRounds int
-	// Trace, if non-nil, samples the coordinator's opinion counts
-	// between rounds (after the commit barrier, so the trace is
-	// deterministic in Seed regardless of scheduling). Nil costs
-	// nothing.
+	// Trace, if non-nil, samples the opinion counts between rounds
+	// (deterministic in Seed). Nil costs nothing.
 	Trace *trace.Sampler
 }
 
@@ -44,9 +42,8 @@ type GossipResult struct {
 	FinalCounts []int64
 }
 
-// RunGossip executes the configured dynamics on a real concurrent
-// gossip network until all alive nodes agree or the round budget runs
-// out. The network is torn down before returning.
+// RunGossip executes the configured dynamics node by node until all
+// alive nodes agree or the round budget runs out.
 //
 // Deprecated: use Experiment with Mode: ModeGossip, which adds trials,
 // stop conditions and streaming. This wrapper keeps its exact streams:

@@ -6,12 +6,11 @@ import (
 	"plurality/internal/tablefmt"
 )
 
-// runGossip validates the message-passing execution against the
+// runGossip validates the node-by-node gossip execution against the
 // count-space engine and quantifies the fault models the abstract
-// chain cannot express: the consensus times of the real concurrent
-// gossip network (goroutines + channels, two-phase barrier) must match
-// the engine's on clean runs, and degrade gracefully under node
-// crashes and pull loss.
+// chain cannot express: the consensus times of the per-node pull
+// rounds must match the engine's on clean runs, and degrade gracefully
+// under node crashes and pull loss.
 func runGossip(opts Options) []tablefmt.Table {
 	opts = opts.normalized()
 	n := 300

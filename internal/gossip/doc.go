@@ -1,33 +1,33 @@
-// Package gossip executes the consensus dynamics as an actual
-// message-passing distributed system: one goroutine per node,
-// pull-based opinion exchange over channels, and a two-phase barrier
-// that realizes the paper's synchronous rounds. It exists to
-// demonstrate that the abstract count-space Markov chain of
-// internal/core corresponds to a real concurrent execution (the tests
-// cross-validate the two), and to study fault models the abstract
-// chain cannot express: crashed nodes and lossy pulls.
+// Package gossip runs the consensus dynamics node by node: every node
+// holds one opinion and its own PRNG stream, and each round it pulls
+// the opinions of uniformly random peers (itself included). It exists
+// to check that the abstract count-space Markov chain of internal/core
+// is the law of that per-node execution (the tests cross-validate the
+// two), and to study fault models the abstract chain cannot express:
+// crashed nodes and lossy pulls.
 //
-// # Synchronous round protocol
+// It is a simulation of a message-passing system, not one: the
+// repository's real message-passing system is the conserve cluster
+// (internal/cluster), whose kill/failover e2e SIGKILLs live processes
+// mid-sweep (`make cluster-e2e`).
 //
-// Each round has two phases, coordinated by the Network:
+// # Synchronous round
 //
-//  1. Sample: every alive node sends pull requests to uniformly random
-//     peers (self-loops answered locally), serves incoming requests
-//     with its round-(t−1) opinion, and computes its tentative next
-//     opinion from the replies. It reports done but keeps serving.
-//  2. Commit: once every node has sampled, the coordinator broadcasts
-//     commit; nodes atomically adopt their next opinion. No node can
-//     observe a round-t opinion while any node is still sampling
-//     round t, which is exactly Definition 3.1's synchronous update.
+// A round is a loop over the nodes on one snapshot. Every node reads
+// peers' round-(t−1) opinions and writes its round-t opinion into a
+// second slice; the two slices swap once every node has stepped. No
+// node can observe a round-t opinion while any node is still sampling
+// round t, which is exactly Definition 3.1's synchronous update.
+// Because each node draws only from its own stream and every pull
+// reads round t−1, the outcome is a function of the seed alone.
 //
 // # Fault model
 //
-// Crashed nodes answer every pull with a failure (an RPC-error model)
-// and never change their own opinion. A pull is also lost
-// independently with probability LossProb. A node any of whose pulls
-// fail keeps its opinion for that round (omission degrades the
-// dynamics toward laziness but preserves safety; the tests quantify
-// the slowdown).
+// Crashed nodes fail every pull sent to them (an RPC-error model) and
+// never change their own opinion. A pull is also lost independently
+// with probability LossProb. A node any of whose pulls fail keeps its
+// opinion for that round (omission degrades the dynamics toward
+// laziness but preserves safety; the tests quantify the slowdown).
 //
 // The contract above is owned by DESIGN.md §"The unified Experiment
 // API".

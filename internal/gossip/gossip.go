@@ -3,7 +3,6 @@ package gossip
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"plurality/internal/population"
 	"plurality/internal/rng"
@@ -48,54 +47,6 @@ func (r Rule) Name() string {
 	}
 }
 
-// pullRequest asks a peer for its current opinion. The reply channel
-// is buffered so servers never block.
-type pullRequest struct {
-	reply chan pullReply
-}
-
-type pullReply struct {
-	opinion int32
-	failed  bool
-}
-
-// command drives a node's state machine.
-type commandKind int
-
-const (
-	cmdSample commandKind = iota + 1
-	cmdCommit
-	cmdStop
-)
-
-type command struct {
-	kind commandKind
-}
-
-// doneMsg reports a node's tentative next opinion to the coordinator.
-type doneMsg struct {
-	id      int
-	opinion int32
-}
-
-// node is one participant; its goroutine owns all mutable state.
-type node struct {
-	id      int
-	rule    Rule
-	crashed bool
-	loss    float64
-	r       *rng.Rand
-
-	cur  int32
-	next int32
-
-	ctrl  chan command
-	inbox chan pullRequest
-	done  chan<- doneMsg
-
-	peers []*node // shared read-only topology (complete graph)
-}
-
 // Config describes a gossip network.
 type Config struct {
 	// N is the number of nodes; required.
@@ -117,19 +68,20 @@ type Config struct {
 // ErrConfig reports invalid gossip configuration.
 var ErrConfig = errors.New("gossip: invalid config")
 
-// Network is a running gossip system. Create with New, drive with
-// Round or Run, and always Close it to stop the node goroutines.
+// Network is a gossip system between rounds. Create with New and
+// drive with Round or Run.
 type Network struct {
-	nodes    []*node
-	done     chan doneMsg
-	opinions []int32 // coordinator's authoritative copy
+	rule     Rule
+	loss     float64
+	opinions []int32 // round t−1: every pull reads this snapshot
+	next     []int32 // round t, written by Round
 	crashed  []bool
+	rands    []rng.Rand // node i's private stream
 	k        int
-	wg       sync.WaitGroup
 	closed   bool
 }
 
-// New builds and starts a gossip network; the caller must Close it.
+// New builds a gossip network.
 func New(cfg Config) (*Network, error) {
 	if cfg.N < 1 {
 		return nil, fmt.Errorf("%w: N = %d", ErrConfig, cfg.N)
@@ -152,9 +104,12 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	nw := &Network{
-		done:     make(chan doneMsg, cfg.N),
+		rule:     cfg.Rule,
+		loss:     cfg.LossProb,
 		opinions: make([]int32, 0, cfg.N),
+		next:     make([]int32, cfg.N),
 		crashed:  crashed,
+		rands:    make([]rng.Rand, cfg.N),
 		k:        cfg.Init.K(),
 	}
 	for op := 0; op < cfg.Init.K(); op++ {
@@ -162,192 +117,65 @@ func New(cfg Config) (*Network, error) {
 			nw.opinions = append(nw.opinions, int32(op))
 		}
 	}
-
-	nw.nodes = make([]*node, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		nw.nodes[i] = &node{
-			id:      i,
-			rule:    cfg.Rule,
-			crashed: crashed[i],
-			loss:    cfg.LossProb,
-			r:       rng.New(rng.DeriveSeed(cfg.Seed, uint64(i))),
-			cur:     nw.opinions[i],
-			ctrl:    make(chan command),
-			inbox:   make(chan pullRequest, 8),
-			done:    nw.done,
-		}
-	}
-	for _, n := range nw.nodes {
-		n.peers = nw.nodes
-	}
-	nw.wg.Add(cfg.N)
-	for _, n := range nw.nodes {
-		go func(n *node) {
-			defer nw.wg.Done()
-			n.run()
-		}(n)
+	for i := range nw.rands {
+		nw.rands[i].Reseed(rng.DeriveSeed(cfg.Seed, uint64(i)))
 	}
 	return nw, nil
 }
 
-// run is the node goroutine's state machine.
-func (n *node) run() {
-	for {
-		select {
-		case req := <-n.inbox:
-			n.serve(req)
-		case cmd := <-n.ctrl:
-			switch cmd.kind {
-			case cmdSample:
-				n.sample()
-				n.done <- doneMsg{id: n.id, opinion: n.next}
-				// Keep serving round-(t-1) opinions until commit.
-				if !n.serveUntilCommit() {
-					return
-				}
-			case cmdCommit:
-				// Commit without a preceding sample only happens on
-				// protocol misuse; adopt next defensively.
-				n.cur = n.next
-			case cmdStop:
-				return
-			}
+// step returns node i's round-t opinion, pulling from the round-(t−1)
+// snapshot with node i's own stream. Crashed nodes draw nothing and
+// keep their opinion. Each pull draws the loss coin first (only when
+// LossProb > 0), then the peer; the first lost pull, or pull of a
+// crashed peer, ends the node's round with its opinion unchanged.
+func (nw *Network) step(i int) int32 {
+	cur := nw.opinions[i]
+	if nw.crashed[i] {
+		return cur
+	}
+	r := &nw.rands[i]
+	var got [3]int32
+	for s := range nw.rule.samples() {
+		if nw.loss > 0 && r.Bernoulli(nw.loss) {
+			return cur
 		}
-	}
-}
-
-// serveUntilCommit keeps answering pulls until the commit command,
-// then adopts the tentative opinion. It returns false on stop.
-func (n *node) serveUntilCommit() bool {
-	for {
-		select {
-		case req := <-n.inbox:
-			n.serve(req)
-		case cmd := <-n.ctrl:
-			switch cmd.kind {
-			case cmdCommit:
-				n.cur = n.next
-				return true
-			case cmdStop:
-				return false
-			case cmdSample:
-				panic("gossip: sample during commit wait")
-			}
+		peer := r.Intn(len(nw.opinions))
+		if nw.crashed[peer] {
+			return cur
 		}
+		got[s] = nw.opinions[peer]
 	}
-}
-
-// serve answers one pull request.
-func (n *node) serve(req pullRequest) {
-	if n.crashed {
-		req.reply <- pullReply{failed: true}
-		return
-	}
-	req.reply <- pullReply{opinion: n.cur}
-}
-
-// sample executes one round's pulls and computes the tentative next
-// opinion. Crashed nodes never update.
-func (n *node) sample() {
-	if n.crashed {
-		n.next = n.cur
-		return
-	}
-	count := n.rule.samples()
-	got := make([]int32, 0, 3)
-	failed := false
-	for s := 0; s < count; s++ {
-		op, ok := n.pullOne()
-		if !ok {
-			failed = true
-			break
-		}
-		got = append(got, op)
-	}
-	if failed {
-		// Omission: keep the current opinion for this round.
-		n.next = n.cur
-		return
-	}
-	switch n.rule {
+	switch nw.rule {
 	case ThreeMajority:
 		if got[0] == got[1] {
-			n.next = got[0]
-		} else {
-			n.next = got[2]
+			return got[0]
 		}
+		return got[2]
 	case TwoChoices:
 		if got[0] == got[1] {
-			n.next = got[0]
-		} else {
-			n.next = n.cur
+			return got[0]
 		}
-	case Voter:
-		n.next = got[0]
-	}
-}
-
-// pullOne samples one uniformly random peer (self-loops included) and
-// returns its opinion, or ok = false on loss/crash.
-func (n *node) pullOne() (int32, bool) {
-	if n.loss > 0 && n.r.Bernoulli(n.loss) {
-		return 0, false
-	}
-	peer := n.r.Intn(len(n.peers))
-	if peer == n.id {
-		return n.cur, true // self-loop: local read
-	}
-	target := n.peers[peer]
-	req := pullRequest{reply: make(chan pullReply, 1)}
-	sent := false
-	for {
-		if !sent {
-			select {
-			case target.inbox <- req:
-				sent = true
-			case incoming := <-n.inbox:
-				// Serve while waiting so mutually pulling nodes
-				// cannot deadlock on full inboxes.
-				n.serve(incoming)
-			}
-			continue
-		}
-		select {
-		case rep := <-req.reply:
-			if rep.failed {
-				return 0, false
-			}
-			return rep.opinion, true
-		case incoming := <-n.inbox:
-			// Serve while awaiting the reply, or a requester cycle
-			// (A waits on B waits on C waits on A) would deadlock.
-			n.serve(incoming)
-		}
+		return cur
+	default: // Voter
+		return got[0]
 	}
 }
 
 // Round executes one synchronous round and returns the updated counts.
+// Every node reads only round t−1, and all adopt round t together when
+// the two snapshots swap: Definition 3.1's synchronous update.
 func (nw *Network) Round() *population.Vector {
 	if nw.closed {
 		panic("gossip: Round after Close")
 	}
-	// Phase 1: everyone samples.
-	for _, n := range nw.nodes {
-		n.ctrl <- command{kind: cmdSample}
+	for i := range nw.next {
+		nw.next[i] = nw.step(i)
 	}
-	for range nw.nodes {
-		msg := <-nw.done
-		nw.opinions[msg.id] = msg.opinion
-	}
-	// Phase 2: everyone commits.
-	for _, n := range nw.nodes {
-		n.ctrl <- command{kind: cmdCommit}
-	}
+	nw.opinions, nw.next = nw.next, nw.opinions
 	return nw.Counts()
 }
 
-// Counts returns the coordinator's view of the opinion counts (valid
-// between rounds).
+// Counts returns the opinion counts (valid between rounds).
 func (nw *Network) Counts() *population.Vector {
 	counts := make([]int64, nw.k)
 	for _, op := range nw.opinions {
@@ -396,19 +224,16 @@ type Result struct {
 
 // Run executes rounds until all alive nodes agree or maxRounds.
 //
-// tr, if non-nil, samples the coordinator's authoritative opinion
-// counts between rounds — after the commit barrier, when no node
-// goroutine is mutating state — so the trace is deterministic in the
-// network's seed regardless of goroutine scheduling. A nil tr costs
-// one pointer test per round; kept rounds reuse the counts Round
+// tr, if non-nil, samples the opinion counts between rounds. A nil tr
+// costs one pointer test per round; kept rounds reuse the counts Round
 // materializes anyway, so tracing adds only the O(live) observable
 // reads.
 //
 // stop, if non-nil, is evaluated on the same counts between rounds
 // (and at round 0 before any pull), and a true return ends the run
-// there. The hook reads only the coordinator's state — node PRNG
-// streams are untouched — so a stopped run is byte-for-byte the prefix
-// of the unstopped run of the same seed.
+// there. The hook reads only the counts — node PRNG streams are
+// untouched — so a stopped run is byte-for-byte the prefix of the
+// unstopped run of the same seed.
 func (nw *Network) Run(maxRounds int, tr *trace.Sampler, stop func(round int64, v *population.Vector) bool) Result {
 	finish := func(rounds int, consensus bool, winner int32, v *population.Vector) Result {
 		if v == nil {
@@ -457,16 +282,8 @@ func (nw *Network) Run(maxRounds int, tr *trace.Sampler, stop func(round int64, 
 	return finish(maxRounds, false, int32(op), v)
 }
 
-// Close stops all node goroutines and waits for them to exit. It is
-// idempotent. Between rounds every node is parked on its control
-// channel, so delivery cannot block.
+// Close ends the network: a later Round panics. It holds no
+// resources and is idempotent.
 func (nw *Network) Close() {
-	if nw.closed {
-		return
-	}
 	nw.closed = true
-	for _, n := range nw.nodes {
-		n.ctrl <- command{kind: cmdStop}
-	}
-	nw.wg.Wait()
 }

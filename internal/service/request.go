@@ -27,14 +27,14 @@ const (
 	// ModeGraph runs the per-vertex agent engine on an explicit
 	// topology (paper §2.5 open problem).
 	ModeGraph = "graph"
-	// ModeGossip executes the dynamics as a real message-passing
-	// system with optional crash/loss faults.
+	// ModeGossip executes the dynamics node by node, each node pulling
+	// random peers, with optional crash/loss faults.
 	ModeGossip = "gossip"
 )
 
 // Limits bounding a single request, so one call cannot take down the
 // server (the count-space engine is O(k) memory, but the graph engine
-// is O(n·degree) and the gossip engine spawns a goroutine per node).
+// is O(n·degree) and the gossip engine holds per-node state).
 // They cap the request shape, not the simulation length (use
 // MaxRounds/MaxTicks for that).
 const (
@@ -62,7 +62,8 @@ const (
 	// default topology within the n cap — the densest, a dim-23
 	// hypercube, is ~1.9·10⁸ slots).
 	MaxGraphEdges = 1 << 29
-	// MaxGossipN bounds N for the goroutine-per-node engine (gossip).
+	// MaxGossipN bounds N for the per-node engine (gossip), whose
+	// memory and round time are O(n).
 	MaxGossipN = 100_000
 	// MaxTracePoints bounds trials × trace.MaxPoints for a traced
 	// request: the whole trace a request may buffer (and a cached
