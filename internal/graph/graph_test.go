@@ -3,6 +3,8 @@ package graph
 import (
 	"errors"
 	"math"
+	"math/bits"
+	"slices"
 	"testing"
 
 	"plurality/internal/population"
@@ -290,15 +292,16 @@ func TestRunReachesConsensusOnGraphs(t *testing.T) {
 		for _, rule := range []Rule{ThreeMajorityRule{}, TwoChoicesRule{}} {
 			rule := rule
 			t.Run(g.Name()+"/"+rule.Name(), func(t *testing.T) {
+				if g.Name() == "hypercube" {
+					hypercubeConsensusOrSwap(t, g, v, rule)
+					return
+				}
 				st, err := NewState(g, 4, ShuffledAssignment(v, r))
 				if err != nil {
 					t.Fatal(err)
 				}
 				// Driven on the per-vertex reference engine (State.Step),
-				// whose stream this test was written against: synchronous
-				// 3-Majority on the bipartite hypercube locks its two
-				// sides into a period-2 swap for most seeds, on either
-				// engine, so the consensus assertion is stream-specific.
+				// whose stream this test was written against.
 				res := stepToConsensus(r, st, rule, 100000)
 				if !res.Consensus {
 					t.Fatalf("no consensus after %d rounds", res.Rounds)
@@ -309,6 +312,68 @@ func TestRunReachesConsensusOnGraphs(t *testing.T) {
 			})
 		}
 	}
+}
+
+// hypercubeConsensusOrSwap checks the claim that holds on the bipartite
+// hypercube for every seed: synchronous dynamics end in consensus or in
+// the period-2 swap, where each side of the bipartition is unanimous on
+// a different opinion. Every neighbour of a vertex lies on the other
+// side, so from there both rules make each side adopt the other's
+// opinion, every round, forever. Most 3-Majority seeds end in the swap
+// (2-Choices, lazier, reached consensus on every seed checked), so each
+// of 64 seeds must end in one of the two, and a swap must repeat with
+// period exactly 2.
+func hypercubeConsensusOrSwap(t *testing.T, g Graph, v *population.Vector, rule Rule) {
+	const seeds, maxRounds = 64, 100000
+	agreed, swapped := 0, 0
+	for seed := uint64(1); seed <= seeds; seed++ {
+		r := rng.New(seed)
+		st, err := NewState(g, 4, ShuffledAssignment(v, r))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ended := false
+		for round := 0; round < maxRounds && !ended; round++ {
+			if _, ok := st.Consensus(); ok {
+				agreed++
+				ended = true
+			} else if swapSides(st.Opinions()) {
+				locked := slices.Clone(st.Opinions())
+				st.Step(r, rule)
+				if once := st.Opinions(); !swapSides(once) || once[0] == locked[0] {
+					t.Fatalf("seed %d: swap state did not swap sides", seed)
+				}
+				st.Step(r, rule)
+				if !slices.Equal(st.Opinions(), locked) {
+					t.Fatalf("seed %d: swap did not return after two rounds", seed)
+				}
+				swapped++
+				ended = true
+			} else {
+				st.Step(r, rule)
+			}
+		}
+		if !ended {
+			t.Fatalf("seed %d: neither consensus nor swap after %d rounds", seed, maxRounds)
+		}
+	}
+	t.Logf("%d seeds reached consensus, %d the swap", agreed, swapped)
+}
+
+// swapSides reports whether each parity class of hypercube vertices
+// (the two sides of its bipartition) is unanimous, on different
+// opinions.
+func swapSides(ops []int32) bool {
+	side := [2]int32{-1, -1}
+	for v, o := range ops {
+		p := bits.OnesCount(uint(v)) & 1
+		if side[p] == -1 {
+			side[p] = o
+		} else if side[p] != o {
+			return false
+		}
+	}
+	return side[0] != side[1]
 }
 
 // stepToConsensus runs State.Step from r until consensus or maxRounds.
