@@ -14,7 +14,11 @@
 // improved. Suites faster than -min-ns in the baseline are ignored
 // (too noisy to gate on), suites missing from the current file fail
 // (coverage loss), and suites only in the current file are listed as
-// new. Refresh the committed baseline with `make bench-baseline`.
+// new. Above the table it prints both records' machine fingerprints
+// (CPU model, CPU count, GOMAXPROCS) and one warning line when they
+// differ or the baseline has none, since the deltas then measure the
+// hardware as well as the code. Refresh the committed baseline with
+// `make bench-baseline`.
 package main
 
 import (
@@ -39,9 +43,25 @@ type benchRecord struct {
 	NsPerOp float64 `json:"ns_per_op"`
 }
 
+// fingerprint is the machine a record was measured on; records written
+// before conbench recorded it have the zero value.
+type fingerprint struct {
+	CPUModel   string `json:"cpu_model"`
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+}
+
+func (f fingerprint) String() string {
+	if f == (fingerprint{}) {
+		return "none recorded"
+	}
+	return fmt.Sprintf("%q, %d CPUs, GOMAXPROCS %d", f.CPUModel, f.NumCPU, f.GOMAXPROCS)
+}
+
 // benchFile mirrors conbench's BENCH.json schema.
 type benchFile struct {
-	GoVersion  string        `json:"go_version"`
+	GoVersion string `json:"go_version"`
+	fingerprint
 	Benchmarks []benchRecord `json:"benchmarks"`
 }
 
@@ -90,6 +110,12 @@ func run(args []string, out io.Writer) error {
 
 	fmt.Fprintf(out, "## Benchmark diff vs %s\n\n", *basePath)
 	fmt.Fprintf(out, "Tolerance: fail > +%.0f%%, warn > +%.0f%%; suites under %.1fms ignored.\n\n", *failPct, *warnPct, *minNs/1e6)
+	fmt.Fprintf(out, "Baseline machine: %s\n", base.fingerprint)
+	fmt.Fprintf(out, "Current machine: %s\n", cur.fingerprint)
+	if base.fingerprint == (fingerprint{}) || base.fingerprint != cur.fingerprint {
+		fmt.Fprintln(out, "⚠️ The machines differ or the baseline has no fingerprint: deltas measure the hardware as well as the code.")
+	}
+	fmt.Fprintln(out)
 	fmt.Fprintln(out, "| suite | baseline ns/op | current ns/op | Δ | status |")
 	fmt.Fprintln(out, "|---|---:|---:|---:|---|")
 

@@ -128,3 +128,45 @@ func TestBadInputs(t *testing.T) {
 		t.Fatal("fail-pct < warn-pct accepted")
 	}
 }
+
+// TestFingerprintWarning: both machine fingerprints are printed, and one
+// warning line appears when they differ or the baseline has none.
+func TestFingerprintWarning(t *testing.T) {
+	const suites = `"benchmarks":[
+		{"name":"suite_a","ns_per_op":100000000},
+		{"name":"suite_b","ns_per_op":200000000},
+		{"name":"suite_tiny","ns_per_op":1000}
+	]}`
+	const xeon2 = `{"cpu_model":"Xeon","num_cpu":2,"gomaxprocs":2,`
+	cases := []struct {
+		name, base, cur string
+		warn            bool
+	}{
+		{"same machine", xeon2, xeon2, false},
+		{"baseline has none", `{`, xeon2, true},
+		{"both have none", `{`, `{`, true},
+		{"other core count", `{"cpu_model":"Xeon","num_cpu":1,"gomaxprocs":1,`, xeon2, true},
+		{"other cpu", `{"cpu_model":"EPYC","num_cpu":2,"gomaxprocs":2,`, xeon2, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var out strings.Builder
+			err := run([]string{
+				"-baseline", writeBench(t, "base.json", c.base+suites),
+				"-current", writeBench(t, "cur.json", c.cur+suites),
+			}, &out)
+			if err != nil {
+				t.Fatalf("diff failed: %v\n%s", err, out.String())
+			}
+			if !strings.Contains(out.String(), "Baseline machine: ") || !strings.Contains(out.String(), "Current machine: ") {
+				t.Fatalf("fingerprints not printed:\n%s", out.String())
+			}
+			if c.cur == xeon2 && !strings.Contains(out.String(), `Current machine: "Xeon", 2 CPUs, GOMAXPROCS 2`) {
+				t.Fatalf("fingerprint not rendered:\n%s", out.String())
+			}
+			if got := strings.Count(out.String(), "⚠️ The machines differ"); got != map[bool]int{false: 0, true: 1}[c.warn] {
+				t.Fatalf("%d warning lines, want warn=%v:\n%s", got, c.warn, out.String())
+			}
+		})
+	}
+}

@@ -1,10 +1,12 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
+	"strings"
 	"time"
 
 	"plurality"
@@ -177,13 +179,36 @@ type benchRecord struct {
 	BytesPerOp  uint64  `json:"bytes_per_op"`
 }
 
-// benchFile is the BENCH.json schema.
+// benchFile is the BENCH.json schema. CPUModel, NumCPU and GOMAXPROCS
+// fingerprint the machine, so a diff can tell a code change from a
+// hardware change.
 type benchFile struct {
 	GeneratedAt string        `json:"generated_at"`
 	GoVersion   string        `json:"go_version"`
 	GOOS        string        `json:"goos"`
 	GOARCH      string        `json:"goarch"`
+	CPUModel    string        `json:"cpu_model"`
+	NumCPU      int           `json:"num_cpu"`
+	GOMAXPROCS  int           `json:"gomaxprocs"`
 	Benchmarks  []benchRecord `json:"benchmarks"`
+}
+
+// cpuModel returns the first "model name" in /proc/cpuinfo, or "" where
+// that file is absent or has none.
+func cpuModel() string {
+	f, err := os.Open("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	defer f.Close()
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		key, val, ok := strings.Cut(sc.Text(), ":")
+		if ok && strings.TrimSpace(key) == "model name" {
+			return strings.TrimSpace(val)
+		}
+	}
+	return ""
 }
 
 // measure runs fn iters times and reports wall time and allocations
@@ -234,6 +259,9 @@ func writeBenchJSON(path string, iters int) error {
 		GoVersion:   runtime.Version(),
 		GOOS:        runtime.GOOS,
 		GOARCH:      runtime.GOARCH,
+		CPUModel:    cpuModel(),
+		NumCPU:      runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 	}
 	for _, c := range benchSuite() {
 		rec, err := measure(c, iters)

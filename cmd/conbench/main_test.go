@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -68,6 +70,10 @@ func TestJSONBenchmarkRecord(t *testing.T) {
 	if got.GeneratedAt == "" || got.GoVersion == "" || got.GOOS == "" || got.GOARCH == "" {
 		t.Fatalf("missing metadata: %+v", got)
 	}
+	if got.NumCPU != runtime.NumCPU() || got.GOMAXPROCS != runtime.GOMAXPROCS(0) || got.CPUModel != cpuModel() {
+		t.Fatalf("fingerprint %q/%d/%d, want %q/%d/%d", got.CPUModel, got.NumCPU, got.GOMAXPROCS,
+			cpuModel(), runtime.NumCPU(), runtime.GOMAXPROCS(0))
+	}
 	if len(got.Benchmarks) != len(benchSuite()) {
 		t.Fatalf("%d benchmark records, want %d", len(got.Benchmarks), len(benchSuite()))
 	}
@@ -89,5 +95,19 @@ func TestJSONBenchmarkRecord(t *testing.T) {
 func TestJSONRejectsBadBenchn(t *testing.T) {
 	if err := run([]string{"-json", filepath.Join(t.TempDir(), "b.json"), "-benchn", "0"}); err == nil {
 		t.Fatal("benchn=0 accepted")
+	}
+}
+
+func TestCPUModel(t *testing.T) {
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skip("no /proc/cpuinfo on this platform")
+	}
+	got := cpuModel()
+	if strings.Contains(string(data), "model name") != (got != "") {
+		t.Fatalf("cpuModel() = %q for a cpuinfo with model name = %v", got, strings.Contains(string(data), "model name"))
+	}
+	if got != "" && !strings.Contains(string(data), got) {
+		t.Fatalf("cpuModel() = %q is not in /proc/cpuinfo", got)
 	}
 }
