@@ -1,11 +1,11 @@
 // Gossip network: the dynamics node by node. Every node keeps its own
 // opinion and PRNG stream and, each synchronous round, pulls random
-// peers' previous-round opinions. The demo runs 2-Choices on 400 nodes three
-// ways — clean, with 5% of the nodes crashed, and with 40% pull loss —
-// showing that the protocol's self-stabilizing drift survives both
-// fault models (at the price of extra rounds). Each scenario is one
-// gossip-mode Experiment; the TrialResult carries the final histogram
-// with the crashed nodes' frozen opinions.
+// peers' previous-round opinions. The demo runs 2-Choices on 400
+// nodes three ways — clean, with 5% of the nodes crashed, and with 40%
+// pull loss — showing that the protocol's self-stabilizing drift
+// survives both fault models (at the price of extra rounds). Each
+// scenario is one gossip-mode Experiment; the TrialResult carries the
+// final histogram with the crashed nodes' frozen opinions.
 package main
 
 import (

@@ -56,8 +56,8 @@ type Config struct {
 	// Init supplies the initial opinion counts; required, with
 	// Init.N() == N.
 	Init *population.Vector
-	// Seed makes executions reproducible given a fixed scheduler-
-	// independent protocol (all randomness is per-node PRNG).
+	// Seed roots every node's PRNG stream: node i draws from
+	// rng.DeriveSeed(Seed, i), so the run is a function of Seed alone.
 	Seed uint64
 	// Crashed lists node IDs that are crashed from the start.
 	Crashed []int
