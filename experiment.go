@@ -509,7 +509,10 @@ const (
 	graphEdgeBudget = 1 << 30
 	// gossipNodeBudget caps the nodes held in memory at once across a
 	// gossip experiment's concurrent trials (≈41 bytes each: two
-	// opinion snapshots, a crash flag and a PRNG state).
+	// opinion snapshots, a crash flag and a PRNG state). The value is
+	// inherited from when each node was a goroutine, not derived from
+	// that per-node size: it still limits an n = MaxGossipN request to
+	// two concurrent trials.
 	gossipNodeBudget = 1 << 18
 )
 

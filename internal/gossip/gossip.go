@@ -257,7 +257,7 @@ func (nw *Network) Run(maxRounds int, tr *trace.Sampler, stop func(round int64, 
 		return finish(0, true, op, nil)
 	}
 	for t := 1; t <= maxRounds; t++ {
-		// Round already materializes the post-commit counts; reuse them
+		// Round already materializes the post-swap counts; reuse them
 		// rather than paying the O(n + k) scan twice on kept rounds.
 		v := nw.Round()
 		if tr.Wants(int64(t)) {

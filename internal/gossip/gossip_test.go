@@ -105,8 +105,8 @@ func TestImmediateConsensus(t *testing.T) {
 	}
 }
 
-// TestGossipMatchesCountsEngineLaw is the bridge between the real
-// message-passing execution and the abstract Markov chain: the
+// TestGossipMatchesCountsEngineLaw is the bridge between the
+// node-by-node execution and the abstract Markov chain: the
 // one-round mean counts of the gossip network must match the Eq. (5)
 // law n·α(i)(1 + α(i) − γ) that internal/core samples directly.
 func TestGossipMatchesCountsEngineLaw(t *testing.T) {

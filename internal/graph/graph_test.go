@@ -319,10 +319,10 @@ func TestRunReachesConsensusOnGraphs(t *testing.T) {
 // the period-2 swap, where each side of the bipartition is unanimous on
 // a different opinion. Every neighbour of a vertex lies on the other
 // side, so from there both rules make each side adopt the other's
-// opinion, every round, forever. Most 3-Majority seeds end in the swap
-// (2-Choices, lazier, reached consensus on every seed checked), so each
-// of 64 seeds must end in one of the two, and a swap must repeat with
-// period exactly 2.
+// opinion, every round, forever. Most 3-Majority seeds end in the swap,
+// so each of 64 seeds must end in one of the two, and a swap must
+// repeat with period exactly 2. 2-Choices, lazier, reaches consensus on
+// every one of the fixed seeds, so for it a swap is a failure.
 func hypercubeConsensusOrSwap(t *testing.T, g Graph, v *population.Vector, rule Rule) {
 	const seeds, maxRounds = 64, 100000
 	agreed, swapped := 0, 0
@@ -358,6 +358,9 @@ func hypercubeConsensusOrSwap(t *testing.T, g Graph, v *population.Vector, rule 
 		}
 	}
 	t.Logf("%d seeds reached consensus, %d the swap", agreed, swapped)
+	if _, ok := rule.(TwoChoicesRule); ok && swapped > 0 {
+		t.Fatalf("2-Choices locked into the swap on %d of %d seeds, want consensus on all", swapped, seeds)
+	}
 }
 
 // swapSides reports whether each parity class of hypercube vertices
